@@ -19,8 +19,6 @@ set(PACER_BENCH_BINARIES
   ext_accordion_clocks
   micro_sharded
   micro_trace_io
-  micro_coldpath
-  micro_hotpath
 )
 
 foreach(bin ${PACER_BENCH_BINARIES})

@@ -40,6 +40,7 @@ int main(int Argc, char **Argv) {
   Table.setHeader(Header);
 
   Timer Wall;
+  bool BelowBaseline = false;
   for (const WorkloadSpec &Spec : Options.Workloads) {
     CompiledWorkload Workload(Spec);
     std::vector<OverheadResult> Results =
@@ -47,12 +48,13 @@ int main(int Argc, char **Argv) {
                          Options.Jobs);
     std::vector<std::string> Row{Spec.Name};
     for (size_t I = 1; I < Results.size(); ++I)
-      Row.push_back(formatDouble(Results[I].Slowdown, 2) + "x");
+      Row.push_back(slowdownCell(Results[I].Slowdown, BelowBaseline));
     Table.addRow(Row);
   }
   std::printf("%s\n(median of %u trials, normalized to the no-analysis "
               "baseline)\n",
               Table.render().c_str(), Trials);
+  printSlowdownFaultNote(BelowBaseline);
   printWallClock(Wall, Options);
   return 0;
 }

@@ -61,11 +61,6 @@ struct KernelOps {
   size_t (*TrimTrailingZeros)(const uint32_t *A, size_t N);
   void (*RemapGather)(uint32_t *Dst, const uint32_t *Src, const uint32_t *Idx,
                       size_t N);
-  uint64_t (*GatherEq)(const void *Base, const uint32_t *ByteOff,
-                       const uint32_t *Expect, size_t N);
-  void (*ProbeTags)(const void *Base, const uint32_t *ByteOff,
-                    const uint32_t *Keys, size_t N, uint32_t Empty,
-                    uint64_t *HitMask, uint64_t *EmptyMask);
 };
 
 /// Pointwise maximum of \p B into \p A over \p N components. Returns true
@@ -93,26 +88,6 @@ size_t trimTrailingZeros(const uint32_t *A, size_t N);
 /// have no index constraints.
 void remapGather(uint32_t *Dst, const uint32_t *Src, const uint32_t *Idx,
                  size_t N);
-
-/// Multi-key equality gather: bit I of the result is set iff the 32-bit
-/// word at Base + ByteOff[I] equals Expect[I]. N <= 64; offsets are byte
-/// offsets (arbitrary strides, so hash-table slots and struct fields both
-/// work) and each Base + ByteOff[I] must be readable and < 2 GiB from
-/// Base (the gather index is a signed 32-bit lane). Pure loads + compares,
-/// so every ISA path is bit-identical.
-uint64_t gatherEq(const void *Base, const uint32_t *ByteOff,
-                  const uint32_t *Expect, size_t N);
-
-/// Multi-key hash-slot tag probe: gathers the 32-bit tag at each
-/// Base + ByteOff[I] once and reports two masks over the N <= 64 keys --
-/// HitMask bit I set iff the tag equals Keys[I] (slot holds the key),
-/// EmptyMask bit I set iff the tag equals \p Empty (open-addressing probe
-/// terminates: key absent). A key with neither bit set landed on a
-/// collision or tombstone and needs the scalar chain walk. Same addressing
-/// constraints as gatherEq.
-void probeTags(const void *Base, const uint32_t *ByteOff,
-               const uint32_t *Keys, size_t N, uint32_t Empty,
-               uint64_t *HitMask, uint64_t *EmptyMask);
 
 /// Lowercase name of an ISA ("avx512", "avx2", "sse2", "neon",
 /// "scalar").
@@ -166,11 +141,6 @@ bool scalarAllZero(const uint32_t *A, size_t N);
 size_t scalarTrimTrailingZeros(const uint32_t *A, size_t N);
 void scalarRemapGather(uint32_t *Dst, const uint32_t *Src,
                        const uint32_t *Idx, size_t N);
-uint64_t scalarGatherEq(const void *Base, const uint32_t *ByteOff,
-                        const uint32_t *Expect, size_t N);
-void scalarProbeTags(const void *Base, const uint32_t *ByteOff,
-                     const uint32_t *Keys, size_t N, uint32_t Empty,
-                     uint64_t *HitMask, uint64_t *EmptyMask);
 
 } // namespace pacer::kernels
 

@@ -262,20 +262,14 @@ public:
   /// Operation counters.
   const DetectorStats &stats() const { return Stats; }
 
-  /// Diagnostic tallies for the vectorized multi-key var-table probe.
-  /// Deliberately *not* part of DetectorStats: the equivalence harnesses
-  /// memcmp DetectorStats across engine variants, and a variant with hot
-  /// kernels off never probes at all -- these counters describe how the
-  /// answer was computed, not what it was.
+  /// Var-table probe tallies, kept because AnalysisResult and
+  /// ShardedReplayResult still expose them. No detector fills them, so
+  /// both counters read 0.
   struct ProbeCounters {
-    uint64_t VectorResolved = 0; ///< Keys the gather probe resolved.
-    uint64_t ScalarFallback = 0; ///< Keys that walked the scalar chain.
+    uint64_t VectorResolved = 0; ///< Always 0.
+    uint64_t ScalarFallback = 0; ///< Always 0.
   };
   const ProbeCounters &probeCounters() const { return Probe; }
-  void addProbeCounters(const ProbeCounters &Other) {
-    Probe.VectorResolved += Other.VectorResolved;
-    Probe.ScalarFallback += Other.ScalarFallback;
-  }
 
 protected:
   /// Reports a race and bumps the counter; detectors then continue,
@@ -291,6 +285,9 @@ protected:
 };
 
 /// Detector that analyses nothing; the baseline for overhead experiments.
+/// Its accessBatch is empty, so the baseline pays only the runtime's
+/// dispatch -- as the real detectors' batch paths do -- and not a virtual
+/// read()/write() call per access.
 class NullDetector final : public Detector {
 public:
   explicit NullDetector(RaceSink &Sink) : Detector(Sink) {}
@@ -304,6 +301,8 @@ public:
   void volatileWrite(ThreadId, VolatileId) override {}
   void read(ThreadId, VarId, SiteId) override {}
   void write(ThreadId, VarId, SiteId) override {}
+  using Detector::accessBatch;
+  void accessBatch(std::span<const Action>, const AccessShard &) override {}
   size_t liveMetadataBytes() const override { return 0; }
 };
 

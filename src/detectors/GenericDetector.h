@@ -36,14 +36,6 @@ struct GenericConfig {
   /// Accordion clocks: recycle dead threads' clock slots once every live
   /// thread dominates their final clocks (see core/SlotRecycler.h).
   bool UseAccordionClocks = false;
-
-  /// Hot-path batch engine: analyse access epochs through a batch loop
-  /// that hoists the arena scope and per-thread clock resolution out of
-  /// the per-access path, and screens the O(n) race check with one
-  /// kernel-dispatched allLeq before walking components. Results are
-  /// bit-identical either way (a clock that is <= the current clock
-  /// reports nothing component by component).
-  bool UseHotBatchKernel = true;
 };
 
 /// Sound and precise O(n)-per-operation vector-clock race detector.
@@ -88,8 +80,17 @@ public:
 
   void read(ThreadId Tid, VarId Var, SiteId Site) override;
   void write(ThreadId Tid, VarId Var, SiteId Site) override;
+
+  /// Batched epoch dispatch: one arena scope per epoch, and the slot and
+  /// clock resolution hoisted to thread switches.
+  using Detector::accessBatch;
   void accessBatch(std::span<const Action> Batch,
                    const AccessShard &Shard) override;
+
+  /// Narrowest clock the race checks screen with allLeq (see
+  /// checkClockOrdered). Below it the screen's two indirect kernel calls
+  /// plus SIMD setup cost more than the scalar component walk.
+  static constexpr size_t MinScreenWidth = 16;
 
   void threadBegin(ThreadId Tid) override {
     Arena::Scope MetadataScope(&Metadata);
@@ -141,6 +142,9 @@ private:
                  SiteId Site);
 
   /// Reports one race per component of \p Prior exceeding \p Current.
+  /// Clocks at least MinScreenWidth wide are first screened with one
+  /// kernel-dispatched allLeq: Prior <= Current reports nothing, so the
+  /// component walk is skipped.
   void checkClockOrdered(const VectorClock &Prior,
                          const SiteVector &PriorSites,
                          AccessKind PriorKind, const VectorClock &Current,

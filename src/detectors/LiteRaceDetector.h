@@ -75,13 +75,6 @@ struct LiteRaceConfig {
   /// thread id and are untouched by recycling, so sampling decisions are
   /// identical with recycling on or off.
   bool UseAccordionClocks = false;
-
-  /// Under planned replay, route runs the sampler-plan bitmap marks fully
-  /// unsampled to a counting-only kernel (one word-masked bitmap test per
-  /// batch, branchless counter folds, no per-access decision lookups).
-  /// Observationally identical to the per-access planned loop; disabling
-  /// it forces that loop (the micro_coldpath baseline).
-  bool UseColdBatchKernel = true;
 };
 
 /// Precomputed LiteRace sampler decisions for one (trace, seed, config):
@@ -96,28 +89,6 @@ struct LiteRaceSamplerPlan {
 
   bool sampled(size_t Pos) const {
     return (Bits[Pos >> 6] >> (Pos & 63)) & 1;
-  }
-
-  /// True iff no position in [\p From, \p To) is sampled: a word-masked
-  /// range scan, so testing a whole batch costs O(batch / 64). Decayed-hot
-  /// methods skip runs of ~BurstLength / MinRate accesses, so at steady
-  /// state most epochs answer true and replay them on the counting-only
-  /// kernel.
-  bool noneSampled(size_t From, size_t To) const {
-    if (From >= To)
-      return true;
-    const size_t FirstWord = From >> 6;
-    const size_t LastWord = (To - 1) >> 6;
-    const uint64_t FirstMask = ~uint64_t{0} << (From & 63);
-    const uint64_t LastMask = ~uint64_t{0} >> (63 - ((To - 1) & 63));
-    if (FirstWord == LastWord)
-      return (Bits[FirstWord] & FirstMask & LastMask) == 0;
-    if (Bits[FirstWord] & FirstMask)
-      return false;
-    for (size_t W = FirstWord + 1; W < LastWord; ++W)
-      if (Bits[W])
-        return false;
-    return (Bits[LastWord] & LastMask) == 0;
   }
 };
 
@@ -173,8 +144,8 @@ public:
   /// advance for *every* access -- owned or not -- so the decision stream
   /// is replica-identical at O(trace) cost; foreign accesses advance the
   /// sampler only, touching no stats and no variable metadata. With a
-  /// plan, decisions are bit lookups by trace position and foreign
-  /// accesses are skipped outright.
+  /// plan, decisions are bit lookups by trace position, so the batch may
+  /// be an owned-only run.
   using Detector::accessBatch;
   void accessBatch(std::span<const Action> Batch,
                    const AccessShard &Shard) override;

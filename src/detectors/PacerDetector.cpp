@@ -483,11 +483,7 @@ void PacerDetector::read(ThreadId Tid, VarId Var, SiteId Site) {
   if (!Config.InstrumentReadsWrites)
     return;
   Tid = slotOf(Tid);
-  readImpl(Tid, Var, Site, Vars.find(Var));
-}
-
-void PacerDetector::readImpl(ThreadId Tid, VarId Var, SiteId Site,
-                             VarState *Found) {
+  VarState *Found = Vars.find(Var);
   // Inlined fast path (Section 4): outside sampling periods a variable
   // with no metadata needs no analysis at all.
   if (!Sampling && !Found) {
@@ -502,12 +498,6 @@ void PacerDetector::readImpl(ThreadId Tid, VarId Var, SiteId Site,
   ThreadState &Thread = ensureThread(Tid);
   const VectorClock &Clock = Thread.Clock.clock();
   Epoch Current = Epoch::make(Clock.get(Tid), Tid);
-
-  if (Sampling) {
-    readSampling(Tid, Clock, Current, Var, Site, Found);
-    return;
-  }
-
   VarState &State = Found ? *Found : Vars.getOrInsert(Var);
 
   // Table 4 Rule 1 (same epoch): no checks, no updates, in either period
@@ -522,6 +512,30 @@ void PacerDetector::readImpl(ThreadId Tid, VarId Var, SiteId Site,
   // Rules 2-4). On a race we report and continue as race free.
   if (!State.W.precedes(Clock))
     reportPriorWriteRace(State, Var, Tid, AccessKind::Read, Site);
+
+  if (Sampling) {
+    switch (State.R.kind()) {
+    case ReadMap::Kind::Null:
+      // Rule 2 with R = bottom: record the read as an epoch.
+      State.R.setEpoch(Current, Site);
+      break;
+    case ReadMap::Kind::Epoch:
+      if (State.R.leqClock(Clock)) {
+        // Rule 2 (exclusive): overwrite the ordered read epoch.
+        State.R.setEpoch(Current, Site);
+      } else {
+        // Rule 4 (share): inflate to a map holding both concurrent reads.
+        State.R.inflateToMap();
+        State.R.setEntry(Tid, Clock.get(Tid), Site);
+      }
+      break;
+    case ReadMap::Kind::Map:
+      // Rule 3 (shared): update this thread's component.
+      State.R.setEntry(Tid, Clock.get(Tid), Site);
+      break;
+    }
+    return;
+  }
 
   // Non-sampling: record nothing; discard whatever FastTrack would have
   // replaced or discarded.
@@ -547,51 +561,12 @@ void PacerDetector::readImpl(ThreadId Tid, VarId Var, SiteId Site,
     Vars.erase(Var);
 }
 
-void PacerDetector::readSampling(ThreadId Tid, const VectorClock &Clock,
-                                 Epoch Current, VarId Var, SiteId Site,
-                                 VarState *Found) {
-  VarState &State = Found ? *Found : Vars.getOrInsert(Var);
-
-  // Table 4 Rule 1 (same epoch): no checks, no updates (see readImpl).
-  if (State.R.isEpoch() && State.R.epoch() == Current)
-    return;
-
-  // check W_f <= clock_t (Algorithm 12); report and continue on a race.
-  if (!State.W.precedes(Clock))
-    reportPriorWriteRace(State, Var, Tid, AccessKind::Read, Site);
-
-  switch (State.R.kind()) {
-  case ReadMap::Kind::Null:
-    // Rule 2 with R = bottom: record the read as an epoch.
-    State.R.setEpoch(Current, Site);
-    break;
-  case ReadMap::Kind::Epoch:
-    if (State.R.leqClock(Clock)) {
-      // Rule 2 (exclusive): overwrite the ordered read epoch.
-      State.R.setEpoch(Current, Site);
-    } else {
-      // Rule 4 (share): inflate to a map holding both concurrent reads.
-      State.R.inflateToMap();
-      State.R.setEntry(Tid, Clock.get(Tid), Site);
-    }
-    break;
-  case ReadMap::Kind::Map:
-    // Rule 3 (shared): update this thread's component.
-    State.R.setEntry(Tid, Clock.get(Tid), Site);
-    break;
-  }
-}
-
 void PacerDetector::write(ThreadId Tid, VarId Var, SiteId Site) {
   Arena::Scope MetadataScope(&Metadata);
   if (!Config.InstrumentReadsWrites)
     return;
   Tid = slotOf(Tid);
-  writeImpl(Tid, Var, Site, Vars.find(Var));
-}
-
-void PacerDetector::writeImpl(ThreadId Tid, VarId Var, SiteId Site,
-                              VarState *Found) {
+  VarState *Found = Vars.find(Var);
   if (!Sampling && !Found) {
     ++Stats.WriteFastNonSampling;
     return;
@@ -604,12 +579,6 @@ void PacerDetector::writeImpl(ThreadId Tid, VarId Var, SiteId Site,
   ThreadState &Thread = ensureThread(Tid);
   const VectorClock &Clock = Thread.Clock.clock();
   Epoch Current = Epoch::make(Clock.get(Tid), Tid);
-
-  if (Sampling) {
-    writeSampling(Tid, Clock, Current, Var, Site, Found);
-    return;
-  }
-
   VarState &State = Found ? *Found : Vars.getOrInsert(Var);
 
   // Table 4 Rule 5 (same epoch): no action. The race checks cannot fire
@@ -625,31 +594,19 @@ void PacerDetector::writeImpl(ThreadId Tid, VarId Var, SiteId Site,
     reportPriorWriteRace(State, Var, Tid, AccessKind::Write, Site);
   reportPriorReadRaces(State, Clock, Var, Tid, Site);
 
+  if (Sampling) {
+    // Rules 6-7 sampling: record the write, discard the read map.
+    State.W = Current;
+    State.WSite = Site;
+    State.R.clear();
+    return;
+  }
+
   // Rules 6-7 non-sampling: this unsampled write supersedes everything;
   // discard the variable's metadata entirely.
   if (!Config.DiscardMetadata)
     return; // Ablation: keep the stale (ordered) metadata.
   Vars.erase(Var);
-}
-
-void PacerDetector::writeSampling(ThreadId Tid, const VectorClock &Clock,
-                                  Epoch Current, VarId Var, SiteId Site,
-                                  VarState *Found) {
-  VarState &State = Found ? *Found : Vars.getOrInsert(Var);
-
-  // Table 4 Rule 5 (same epoch): no action (see writeImpl).
-  if (State.W == Current)
-    return;
-
-  // check W_f <= clock_t and R_f <= clock_t (Algorithm 13).
-  if (!State.W.precedes(Clock))
-    reportPriorWriteRace(State, Var, Tid, AccessKind::Write, Site);
-  reportPriorReadRaces(State, Clock, Var, Tid, Site);
-
-  // Rules 6-7 sampling: record the write, discard the read map.
-  State.W = Current;
-  State.WSite = Site;
-  State.R.clear();
 }
 
 void PacerDetector::threadBegin(ThreadId Tid) {
@@ -664,24 +621,12 @@ void PacerDetector::accessBatch(std::span<const Action> Batch,
     return;
   // Phase routing: the replay layer never lets a period boundary fall
   // inside a batch, so the sampling flag is epoch-invariant and one test
-  // here selects the kernel for the whole run. (Accordion clocks need the
+  // here selects the path for the whole run. (Accordion clocks need the
   // per-access path for slot bookkeeping.)
-  if (Config.UseColdBatchKernel && !Sampling && !Config.UseAccordionClocks) {
+  if (!Sampling && !Config.UseAccordionClocks)
     coldAccessBatch(Batch, Shard);
-    return;
-  }
-  if (Config.UseHotBatchKernel && Sampling && !Config.UseAccordionClocks) {
-    hotAccessBatch(Batch, Shard);
-    return;
-  }
-  for (const Action &A : Batch) {
-    if (!Shard.owns(A.Target))
-      continue;
-    if (A.Kind == ActionKind::Read)
-      read(A.Tid, A.Target, A.Site);
-    else
-      write(A.Tid, A.Target, A.Site);
-  }
+  else
+    Detector::accessBatch(Batch, Shard);
 }
 
 void PacerDetector::coldAccessBatch(std::span<const Action> Batch,
@@ -760,113 +705,6 @@ void PacerDetector::coldAccessBatch(std::span<const Action> Batch,
   }
   Stats.ReadFastNonSampling += FastReads;
   Stats.WriteFastNonSampling += FastWrites;
-}
-
-void PacerDetector::hotAccessBatch(std::span<const Action> Batch,
-                                   const AccessShard &Shard) {
-  // Sampling-phase kernel: resolve each block's table entries with one
-  // gather probe (FlatVarTable::findBlock), then run the unchanged
-  // sampling analysis against the pre-resolved pointers. Staleness is
-  // contained by construction: sampling analysis never erases entries, a
-  // stale null re-resolves through getOrInsert (which returns the
-  // existing entry), and a rehash inside a block -- the only operation
-  // that moves entries -- is detected through rehashEpoch() and the rest
-  // of the block re-probed live.
-  // Matches the kernel's 64-lane cap: wider blocks amortize the per-block
-  // fixed costs (probe call, rehash-epoch check, stats update) and measure
-  // faster end-to-end than narrower ones, even though some prefetches of a
-  // 64-lane stage exceed the core's outstanding-miss buffers.
-  constexpr size_t BlockSize = 64;
-  struct StagedBlock {
-    VarId Keys[BlockSize];
-    ThreadId Tids[BlockSize];
-    SiteId Sites[BlockSize];
-    uint8_t IsWrite[BlockSize];
-    size_t Count = 0;
-    size_t Writes = 0;
-  };
-  // Double-buffered so block B+1 stages -- and issues its table
-  // prefetches -- before block B's analysis runs: the prefetched lines
-  // then have a whole analysis phase to arrive instead of the handful of
-  // cycles between a combined stage-and-probe. Random reads over a
-  // DRAM-resident table are the difference between stalling the gather on
-  // every line and finding them resident. (A rehash during B's analysis
-  // orphans the early prefetches; findBlock recomputes its offsets from
-  // the live array, so that costs only the lost warmth.)
-  StagedBlock Blocks[2];
-  VarState *Found[BlockSize];
-
-  // Slot/clock/epoch resolution hoisted to thread switches: accesses
-  // never mutate thread clocks, and no synchronization action or first
-  // sight occurs inside a batch, so the references stay valid across the
-  // whole run (accordion is routed away, so tids are already slots).
-  ThreadId CurTid = InvalidId;
-  const VectorClock *Clock = nullptr;
-  Epoch Current = Epoch::none();
-
-  const size_t N = Batch.size();
-  auto Stage = [&](size_t Begin, StagedBlock &B) {
-    const size_t End = Begin + BlockSize < N ? Begin + BlockSize : N;
-    B.Count = 0;
-    B.Writes = 0;
-    for (size_t I = Begin; I < End; ++I) {
-      const Action &A = Batch[I];
-      if (!Shard.owns(A.Target))
-        continue;
-      B.Keys[B.Count] = A.Target;
-      B.Tids[B.Count] = A.Tid;
-      B.Sites[B.Count] = A.Site;
-      const uint8_t W = A.Kind != ActionKind::Read;
-      B.IsWrite[B.Count] = W;
-      B.Writes += W;
-      ++B.Count;
-      Vars.prefetch(A.Target);
-    }
-  };
-
-  unsigned Cur = 0;
-  if (N != 0)
-    Stage(0, Blocks[0]);
-  for (size_t Begin = 0; Begin < N; Begin += BlockSize, Cur ^= 1) {
-    const StagedBlock &B = Blocks[Cur];
-    size_t Resolved = 0;
-    if (B.Count != 0) {
-      Resolved = Vars.findBlock(B.Keys, B.Count, Found);
-      Probe.VectorResolved += Resolved;
-      Probe.ScalarFallback += B.Count - Resolved;
-    }
-    const size_t ProbeEpoch = Vars.rehashEpoch();
-    if (Begin + BlockSize < N)
-      Stage(Begin + BlockSize, Blocks[Cur ^ 1]);
-    // Slow-path instrumentation tallies batched per block (the screens
-    // below are part of the slow path, so every staged access counts).
-    Stats.WriteSlowSampling += B.Writes;
-    Stats.ReadSlowSampling += B.Count - B.Writes;
-    for (size_t J = 0; J < B.Count; ++J) {
-      if (B.Tids[J] != CurTid) {
-        CurTid = B.Tids[J];
-        Clock = &ensureThread(CurTid).Clock.clock();
-        Current = Epoch::make(Clock->get(CurTid), CurTid);
-      }
-      // An insertion earlier in the block may have grown the table; the
-      // staged pointers die with it, so re-probe live from then on.
-      VarState *F = Vars.rehashEpoch() == ProbeEpoch ? Found[J]
-                                                     : Vars.find(B.Keys[J]);
-      if (B.IsWrite[J]) {
-        // Rule 5 same-epoch screen inline: the overwhelmingly common
-        // repeated-write shape never leaves this loop. A stale-null F
-        // falls through and re-resolves inside writeSampling.
-        if (F && F->W == Current)
-          continue;
-        writeSampling(CurTid, *Clock, Current, B.Keys[J], B.Sites[J], F);
-      } else {
-        // Rule 1 same-epoch screen inline, mirroring the write screen.
-        if (F && F->R.isEpoch() && F->R.epoch() == Current)
-          continue;
-        readSampling(CurTid, *Clock, Current, B.Keys[J], B.Sites[J], F);
-      }
-    }
-  }
 }
 
 size_t PacerDetector::accessMetadataBytes() const {

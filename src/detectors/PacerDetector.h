@@ -83,27 +83,6 @@ struct PacerConfig {
   /// the detector additionally sweeps at sampling-period boundaries (the
   /// paper's GC moments). Implemented on the core SlotRecycler.
   bool UseAccordionClocks = false;
-
-  /// Route non-sampling epochs through the phase-specialized cold batch
-  /// kernel (coldAccessBatch): block-staged probes with software prefetch
-  /// and batched fast-path counters instead of per-access dispatch.
-  /// Observationally identical to the per-access loop; disabling it forces
-  /// the generic loop, which is the baseline the micro_coldpath benchmark
-  /// measures the kernel against. (Accordion clocks always take the
-  /// per-access path for slot bookkeeping.)
-  bool UseColdBatchKernel = true;
-
-  /// Route sampling epochs through the hot batch kernel (hotAccessBatch):
-  /// stage each 64-access block's keys into struct-of-arrays and resolve
-  /// them with one FlatVarTable::findBlock -- a kernel-dispatched gather
-  /// probe (vpgatherdd tag compare on AVX2/AVX-512) that only falls back
-  /// to the scalar chain walk on collisions -- then run the full sampling
-  /// analysis against the pre-resolved entries. Observationally identical
-  /// to the per-access loop: sampling never erases entries, stale-null
-  /// results re-resolve through getOrInsert, and a table rehash inside a
-  /// block is detected via rehashEpoch() and re-probed. (Accordion clocks
-  /// take the per-access path, as with the cold kernel.)
-  bool UseHotBatchKernel = true;
 };
 
 /// PACER: proportional sampling race detection on top of FastTrack.
@@ -137,10 +116,11 @@ public:
 
   /// Batched epoch dispatch, phase-routed: the replay layer guarantees no
   /// sampling-period boundary falls inside a batch, so the sampling flag
-  /// is loop-invariant and one test picks the whole epoch's kernel --
-  /// coldAccessBatch() outside sampling periods, the per-access loop
-  /// inside them (sampling accesses mutate metadata on every access, so
-  /// there is nothing to batch away).
+  /// is loop-invariant and one test picks the whole epoch's path --
+  /// coldAccessBatch() outside sampling periods, the per-access
+  /// read()/write() loop inside them (sampling accesses mutate metadata
+  /// on every access, so there is nothing to batch away). Accordion
+  /// clocks always take the per-access loop for slot bookkeeping.
   using Detector::accessBatch;
   void accessBatch(std::span<const Action> Batch,
                    const AccessShard &Shard) override;
@@ -296,29 +276,6 @@ private:
   /// read()/write() discard logic. Bit-identical to the per-access loop.
   void coldAccessBatch(std::span<const Action> Batch,
                        const AccessShard &Shard);
-
-  /// The sampling-phase hot kernel: stages 64-wide blocks and resolves
-  /// their var-table entries with one gather-probe findBlock per block
-  /// before running the unchanged sampling analysis on each access.
-  void hotAccessBatch(std::span<const Action> Batch,
-                      const AccessShard &Shard);
-
-  /// read()/write() bodies after the arena scope, slot mapping, and table
-  /// probe: \p Found is the live result of Vars.find(Var) (or a
-  /// findBlock-resolved pointer that is still valid or provably
-  /// re-resolvable). Shared by the per-access path and the hot kernel.
-  void readImpl(ThreadId Tid, VarId Var, SiteId Site, VarState *Found);
-  void writeImpl(ThreadId Tid, VarId Var, SiteId Site, VarState *Found);
-
-  /// Sampling-period analysis bodies with the thread resolution hoisted
-  /// out: \p Clock and \p Current are the accessing thread's clock and
-  /// epoch (invariant across a batch run), \p Found the pre-probed table
-  /// entry (null re-resolves through getOrInsert). Shared by the
-  /// per-access path and the hot batch kernel.
-  void readSampling(ThreadId Tid, const VectorClock &Clock, Epoch Current,
-                    VarId Var, SiteId Site, VarState *Found);
-  void writeSampling(ThreadId Tid, const VectorClock &Clock, Epoch Current,
-                     VarId Var, SiteId Site, VarState *Found);
 
   void reportPriorWriteRace(const VarState &State, VarId Var, ThreadId Tid,
                             AccessKind Kind, SiteId Site);

@@ -78,27 +78,21 @@ std::unique_ptr<Detector> pacer::makeDetector(const DetectorSetup &Setup,
   case DetectorKind::Generic: {
     GenericConfig Config;
     Config.UseAccordionClocks = Setup.AccordionClocks;
-    Config.UseHotBatchKernel = Setup.HotKernels;
     return std::make_unique<GenericDetector>(Sink, Config);
   }
   case DetectorKind::FastTrack: {
     FastTrackConfig Config = Setup.FastTrack;
     Config.UseAccordionClocks |= Setup.AccordionClocks;
-    Config.UseColdBatchKernel &= Setup.ColdKernels;
-    Config.UseHotBatchKernel &= Setup.HotKernels;
     return std::make_unique<FastTrackDetector>(Sink, Config);
   }
   case DetectorKind::Pacer: {
     PacerConfig Config = Setup.Pacer;
     Config.UseAccordionClocks |= Setup.AccordionClocks;
-    Config.UseColdBatchKernel &= Setup.ColdKernels;
-    Config.UseHotBatchKernel &= Setup.HotKernels;
     return std::make_unique<PacerDetector>(Sink, Config);
   }
   case DetectorKind::LiteRace: {
     LiteRaceConfig Config = Setup.LiteRace;
     Config.UseAccordionClocks |= Setup.AccordionClocks;
-    Config.UseColdBatchKernel &= Setup.ColdKernels;
     return std::make_unique<LiteRaceDetector>(Sink, Workload.siteToMethod(),
                                               Seed ^ 0x4c495445u /*"LITE"*/,
                                               Config);
@@ -192,8 +186,6 @@ void replaySpan(const CompiledWorkload &Workload,
     Out.Stats = Sharded.Stats;
     Out.HotAccesses = Sharded.Stats.hotAccesses();
     Out.ColdAccesses = Sharded.Stats.coldAccesses();
-    Out.ProbeVectorResolved = Sharded.Probe.VectorResolved;
-    Out.ProbeScalarFallback = Sharded.Probe.ScalarFallback;
     Out.EffectiveAccessRate = Sharded.EffectiveAccessRate;
     Out.EffectiveSyncRate = Sharded.EffectiveSyncRate;
     Out.Boundaries = Sharded.Boundaries;
@@ -229,8 +221,6 @@ void replaySpan(const CompiledWorkload &Workload,
   Out.Stats = D->stats();
   Out.HotAccesses = Out.Stats.hotAccesses();
   Out.ColdAccesses = Out.Stats.coldAccesses();
-  Out.ProbeVectorResolved = D->probeCounters().VectorResolved;
-  Out.ProbeScalarFallback = D->probeCounters().ScalarFallback;
   if (Controller) {
     Out.EffectiveAccessRate = Controller->effectiveAccessRate();
     Out.EffectiveSyncRate = Controller->effectiveSyncRate();
@@ -344,8 +334,6 @@ AnalysisSession::analyzeStream(StreamingTraceReader &Reader) const {
   Result.Stats = D->stats();
   Result.HotAccesses = Result.Stats.hotAccesses();
   Result.ColdAccesses = Result.Stats.coldAccesses();
-  Result.ProbeVectorResolved = D->probeCounters().VectorResolved;
-  Result.ProbeScalarFallback = D->probeCounters().ScalarFallback;
   if (Controller) {
     Result.EffectiveAccessRate = Controller->effectiveAccessRate();
     Result.EffectiveSyncRate = Controller->effectiveSyncRate();

@@ -115,8 +115,7 @@ struct ShardedReplayResult {
   /// (the per-report set matches sequential replay; the order of reports
   /// from different shards does not).
   std::vector<RaceReport> SampleReports;
-  /// Gather-probe diagnostics summed across every replica (probing is
-  /// access-side work; each replica probes only its owned accesses).
+  /// Detector::probeCounters; no detector fills them, so both read 0.
   Detector::ProbeCounters Probe;
 };
 

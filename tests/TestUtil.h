@@ -7,7 +7,8 @@
 /// \file
 /// Helpers shared across the test suite: a race sink that collects full
 /// reports, a fluent builder for hand-written traces, a dispatcher that
-/// replays traces straight into a detector (no sampling controller), and a
+/// replays traces straight into a detector (no sampling controller), a
+/// per-access reference decorator for the batch-path oracle tests, and a
 /// legality validator for generated traces.
 ///
 //===----------------------------------------------------------------------===//
@@ -21,6 +22,7 @@
 #include "sim/Action.h"
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -105,6 +107,84 @@ inline void replayInto(Detector &D, const Trace &T) {
   Runtime RT(D);
   RT.replay(T);
 }
+
+/// Forwards every hook to an inner detector except accessBatch, which
+/// stays Detector::accessBatch's loop of per-access read()/write() calls.
+/// Replaying through it gives the per-access reference that a detector's
+/// own batch path must match exactly: same reports, same stats, same
+/// metadata. Reports go to whatever sink the inner detector was built
+/// with; stats() mirrors the inner detector's after every hook.
+class PerAccessReference final : public Detector {
+public:
+  PerAccessReference(RaceSink &Sink, std::unique_ptr<Detector> Inner)
+      : Detector(Sink), Inner(std::move(Inner)) {}
+
+  const char *name() const override { return Inner->name(); }
+  void fork(ThreadId Parent, ThreadId Child) override {
+    forward([&](Detector &D) { D.fork(Parent, Child); });
+  }
+  void join(ThreadId Parent, ThreadId Child) override {
+    forward([&](Detector &D) { D.join(Parent, Child); });
+  }
+  void acquire(ThreadId Tid, LockId Lock) override {
+    forward([&](Detector &D) { D.acquire(Tid, Lock); });
+  }
+  void release(ThreadId Tid, LockId Lock) override {
+    forward([&](Detector &D) { D.release(Tid, Lock); });
+  }
+  void syncBatch(ThreadId Tid, LockId Lock, uint64_t Pairs) override {
+    forward([&](Detector &D) { D.syncBatch(Tid, Lock, Pairs); });
+  }
+  void volatileRead(ThreadId Tid, VolatileId Vol) override {
+    forward([&](Detector &D) { D.volatileRead(Tid, Vol); });
+  }
+  void volatileWrite(ThreadId Tid, VolatileId Vol) override {
+    forward([&](Detector &D) { D.volatileWrite(Tid, Vol); });
+  }
+  void read(ThreadId Tid, VarId Var, SiteId Site) override {
+    forward([&](Detector &D) { D.read(Tid, Var, Site); });
+  }
+  void write(ThreadId Tid, VarId Var, SiteId Site) override {
+    forward([&](Detector &D) { D.write(Tid, Var, Site); });
+  }
+  bool accessAnalysisIsShardLocal() const override {
+    return Inner->accessAnalysisIsShardLocal();
+  }
+  void threadBegin(ThreadId Tid) override {
+    forward([&](Detector &D) { D.threadBegin(Tid); });
+  }
+  void threadExit(ThreadId Tid) override {
+    forward([&](Detector &D) { D.threadExit(Tid); });
+  }
+  size_t recycleDeadSlots() override {
+    size_t Reclaimed = 0;
+    forward([&](Detector &D) { Reclaimed = D.recycleDeadSlots(); });
+    return Reclaimed;
+  }
+  size_t slotCount() const override { return Inner->slotCount(); }
+  size_t peakSlotCount() const override { return Inner->peakSlotCount(); }
+  void beginSamplingPeriod() override {
+    forward([](Detector &D) { D.beginSamplingPeriod(); });
+  }
+  void endSamplingPeriod() override {
+    forward([](Detector &D) { D.endSamplingPeriod(); });
+  }
+  bool isSampling() const override { return Inner->isSampling(); }
+  size_t liveMetadataBytes() const override {
+    return Inner->liveMetadataBytes();
+  }
+  size_t accessMetadataBytes() const override {
+    return Inner->accessMetadataBytes();
+  }
+
+private:
+  template <typename Fn> void forward(Fn &&Call) {
+    Call(*Inner);
+    Stats = Inner->stats();
+  }
+
+  std::unique_ptr<Detector> Inner;
+};
 
 /// Checks synchronization legality of a generated trace. Returns an empty
 /// string if legal, else a description of the first violation.

@@ -181,4 +181,77 @@ TEST_F(GenericDetectorTest, ThreadClockAdvancesOnRelease) {
   EXPECT_EQ(D.threadClock(0).get(0), 2u) << "initial 1 plus one release";
 }
 
+// --- The allLeq screen (clocks at least MinScreenWidth wide) -----------
+
+/// Threads 0..Wide-1: wide enough that every per-variable clock a worker
+/// past the screen width touched is screened with allLeq.
+constexpr ThreadId Wide = GenericDetector::MinScreenWidth + 4;
+
+TraceBuilder forkAll() {
+  TraceBuilder B;
+  for (ThreadId T = 1; T < Wide; ++T)
+    B.fork(0, T);
+  return B;
+}
+
+TEST_F(GenericDetectorTest, WideScreenReportsEveryConcurrentPriorWrite) {
+  // Every worker writes var 5 unsynchronized, so each write races with
+  // every earlier worker's write. From the screen width on, the stored
+  // write clock is wide enough to screen; the screen must fail and the
+  // walk must still report each racing component in slot order.
+  TraceBuilder B = forkAll();
+  for (ThreadId T = 1; T < Wide; ++T)
+    B.write(T, /*Var=*/5, /*Site=*/500 + T);
+  // After joining everyone, main's write is ordered after all of them:
+  // the screen passes and nothing more is reported.
+  for (ThreadId T = 1; T < Wide; ++T)
+    B.join(0, T);
+  B.write(0, 5, 499);
+  replay(B.take());
+
+  std::vector<RaceReport> Want;
+  for (ThreadId Second = 2; Second < Wide; ++Second) {
+    for (ThreadId First = 1; First < Second; ++First) {
+      RaceReport R;
+      R.Var = 5;
+      R.FirstKind = AccessKind::Write;
+      R.SecondKind = AccessKind::Write;
+      R.FirstThread = First;
+      R.SecondThread = Second;
+      R.FirstSite = 500 + First;
+      R.SecondSite = 500 + Second;
+      Want.push_back(R);
+    }
+  }
+  ASSERT_EQ(Sink.size(), Want.size());
+  for (size_t I = 0; I != Want.size(); ++I) {
+    const RaceReport &Got = Sink.Reports[I];
+    EXPECT_EQ(Got.Var, Want[I].Var) << I;
+    EXPECT_EQ(Got.FirstKind, Want[I].FirstKind) << I;
+    EXPECT_EQ(Got.SecondKind, Want[I].SecondKind) << I;
+    EXPECT_EQ(Got.FirstThread, Want[I].FirstThread) << I;
+    EXPECT_EQ(Got.SecondThread, Want[I].SecondThread) << I;
+    EXPECT_EQ(Got.FirstSite, Want[I].FirstSite) << I;
+    EXPECT_EQ(Got.SecondSite, Want[I].SecondSite) << I;
+  }
+}
+
+TEST_F(GenericDetectorTest, WideScreenPassesOnLockOrderedAccesses) {
+  // Every worker reads and writes vars 5 and 6 under one lock, so all
+  // accesses are ordered; the stored read and write clocks grow past
+  // the screen width and every later check is screened and passes.
+  TraceBuilder B = forkAll();
+  for (ThreadId T = 1; T < Wide; ++T)
+    B.acq(T, 9).read(T, 5).write(T, 5).read(T, 6).rel(T, 9);
+  for (ThreadId T = 1; T < Wide; ++T)
+    B.join(0, T);
+  B.read(0, 6).write(0, 5).write(0, 6);
+  replay(B.take());
+
+  EXPECT_TRUE(Sink.empty());
+  EXPECT_GE(D.threadClock(0).size(), GenericDetector::MinScreenWidth);
+  EXPECT_EQ(D.stats().totalReads(), 2 * (Wide - 1) + 1);
+  EXPECT_EQ(D.stats().totalWrites(), (Wide - 1) + 2);
+}
+
 } // namespace

@@ -73,18 +73,6 @@ OptionRegistry buildRegistry() {
                "recycle thread-clock slots once dead threads are "
                "dominated (accordion clocks); reports are identical, "
                "metadata stays O(live threads)")
-      .addFlag("no-cold-kernels",
-               "route non-sampling runs through the generic per-access "
-               "loop instead of the phase-specialized cold batch "
-               "kernels; results are identical either way")
-      .addFlag("no-hot-kernels",
-               "route sampling-phase runs through the per-access loop "
-               "instead of the vectorized multi-key probe engine; "
-               "results are identical either way")
-      .addFlag("no-sync-batching",
-               "deliver every acquire/release individually instead of "
-               "coalescing same-thread sync runs into one syncBatch; "
-               "results are identical either way")
       .addInt("max-reports", 10, "race reports to print per trace")
       .addFlag("stats", "print operation statistics per trace")
       .addFlag("times", "print load/index/analysis time per trace")
@@ -262,15 +250,6 @@ FileOutcome analyseFile(const std::string &Path,
                                   : 0.0,
                   static_cast<unsigned long long>(Result.ColdAccesses));
     Out.Text += Buf;
-    // Gather-probe effectiveness: keys the vectorized var-table probe
-    // resolved in-block vs. keys that fell back to a scalar walk
-    // (collisions, rehash mid-block). Zero/zero when hot kernels are off
-    // or the detector has no vectorized path.
-    std::snprintf(Buf, sizeof(Buf),
-                  "  probe keys %llu vector-resolved, %llu scalar-fallback\n",
-                  static_cast<unsigned long long>(Result.ProbeVectorResolved),
-                  static_cast<unsigned long long>(Result.ProbeScalarFallback));
-    Out.Text += Buf;
   }
 
   // Sharded replay merges sample reports replica by replica, so their
@@ -435,9 +414,6 @@ int main(int Argc, char **Argv) {
   bool SetupOk = false;
   DetectorSetup Setup = setupFromOptions(R, SetupOk);
   Setup.AccordionClocks = R.getBool("accordion");
-  Setup.ColdKernels = !R.getBool("no-cold-kernels");
-  Setup.HotKernels = !R.getBool("no-hot-kernels");
-  Setup.SyncBatching = !R.getBool("no-sync-batching");
   if (!SetupOk) {
     std::fprintf(stderr, "error: unknown --detector=%s\n",
                  R.getString("detector").c_str());
