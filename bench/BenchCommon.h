@@ -160,7 +160,7 @@ inline void printWallClock(const Timer &T, const BenchOptions &Options) {
 /// One Figures 8-9 slowdown cell. No analysis can run faster than the
 /// no-analysis baseline, so a slowdown below 1.00x is a measurement fault:
 /// the cell gets a '!' and \p BelowBaseline is set, so the caller can
-/// print printSlowdownFaultNote() under the table.
+/// print printSlowdownFaultNote() under the table and exit 1.
 inline std::string slowdownCell(double Slowdown, bool &BelowBaseline) {
   const bool Below = Slowdown < 1.0;
   BelowBaseline |= Below;
@@ -170,7 +170,7 @@ inline std::string slowdownCell(double Slowdown, bool &BelowBaseline) {
 inline void printSlowdownFaultNote(bool BelowBaseline) {
   if (BelowBaseline)
     std::printf("! below the no-analysis baseline: a measurement fault, "
-                "not a speedup\n");
+                "not a speedup (exit 1)\n");
 }
 
 /// One workload's detection study: ground truth plus one DetectionPoint

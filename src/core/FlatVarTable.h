@@ -6,9 +6,10 @@
 ///
 /// \file
 /// An open-addressing hash table mapping dense VarIds to per-variable
-/// detector metadata. This is the PACER detector's hot-path structure: the
-/// inlined read/write fast path is "flag test plus table lookup miss"
-/// (Section 4), so lookup cost is per-event cost. Compared to
+/// detector metadata. PACER keeps the metadata of its tracked variables
+/// here; its non-sampling fast path tests a presence bit and probes this
+/// table only for variables that hold metadata, so lookups cost per
+/// sampled (or still-tracked) access, not per event. Compared to
 /// std::unordered_map (chained nodes, one heap allocation and one pointer
 /// chase per entry), a flat table probes a contiguous power-of-two slot
 /// array with linear probing and a Fibonacci-multiplicative hash: misses
@@ -77,22 +78,6 @@ public:
     return S ? &S->Value : nullptr;
   }
 
-  /// Hints the cache to pull in the first probe line for \p Key. A
-  /// find(Key) issued a few probes later then usually resolves without a
-  /// memory stall; the PACER cold batch kernel issues these while staging
-  /// the next block of accesses. Probe chains longer than one line still
-  /// pay for their tail -- the hint covers the common single-line case.
-  void prefetch(KeyT Key) const {
-    if (!Slots)
-      return;
-    const char *P = reinterpret_cast<const char *>(&Slots[slotFor(Key)]);
-    __builtin_prefetch(P);
-    // Pull the slot's tail line too when the entry straddles a cache-line
-    // boundary; otherwise the analysis that follows the probe still
-    // stalls on the second half of the value.
-    if ((reinterpret_cast<uintptr_t>(P) & 63) + sizeof(Slot) > 64)
-      __builtin_prefetch(P + sizeof(Slot) - 1);
-  }
   const ValueT *find(KeyT Key) const {
     return const_cast<FlatVarTable *>(this)->find(Key);
   }

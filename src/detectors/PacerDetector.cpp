@@ -95,13 +95,16 @@ void PacerDetector::purgeSlot(ThreadId Slot) {
   // The retired thread's recorded accesses are dominated by every live
   // thread: discard them, exactly as PACER's non-sampling rules discard
   // ordered accesses.
-  Vars.eraseIf([Slot](VarId, VarState &State) {
+  Vars.eraseIf([this, Slot](VarId Var, VarState &State) {
     State.R.removeThread(Slot);
     if (!State.W.isNone() && State.W.tid() == Slot) {
       State.W = Epoch::none();
       State.WSite = InvalidId;
     }
-    return State.R.isNull() && State.W.isNone();
+    if (!State.R.isNull() || !State.W.isNone())
+      return false;
+    clearPresent(Var);
+    return true;
   });
 
   // Reset the slot's own state so the next occupant starts from a fresh
@@ -483,7 +486,7 @@ void PacerDetector::read(ThreadId Tid, VarId Var, SiteId Site) {
   if (!Config.InstrumentReadsWrites)
     return;
   Tid = slotOf(Tid);
-  VarState *Found = Vars.find(Var);
+  VarState *Found = isTracked(Var) ? Vars.find(Var) : nullptr;
   // Inlined fast path (Section 4): outside sampling periods a variable
   // with no metadata needs no analysis at all.
   if (!Sampling && !Found) {
@@ -498,7 +501,7 @@ void PacerDetector::read(ThreadId Tid, VarId Var, SiteId Site) {
   ThreadState &Thread = ensureThread(Tid);
   const VectorClock &Clock = Thread.Clock.clock();
   Epoch Current = Epoch::make(Clock.get(Tid), Tid);
-  VarState &State = Found ? *Found : Vars.getOrInsert(Var);
+  VarState &State = Found ? *Found : track(Var);
 
   // Table 4 Rule 1 (same epoch): no checks, no updates, in either period
   // kind. Checking first matters under report-and-continue: a racing
@@ -558,7 +561,7 @@ void PacerDetector::read(ThreadId Tid, VarId Var, SiteId Site) {
     break;
   }
   if (State.R.isNull() && State.W.isNone())
-    Vars.erase(Var);
+    untrack(Var);
 }
 
 void PacerDetector::write(ThreadId Tid, VarId Var, SiteId Site) {
@@ -566,7 +569,7 @@ void PacerDetector::write(ThreadId Tid, VarId Var, SiteId Site) {
   if (!Config.InstrumentReadsWrites)
     return;
   Tid = slotOf(Tid);
-  VarState *Found = Vars.find(Var);
+  VarState *Found = isTracked(Var) ? Vars.find(Var) : nullptr;
   if (!Sampling && !Found) {
     ++Stats.WriteFastNonSampling;
     return;
@@ -579,7 +582,7 @@ void PacerDetector::write(ThreadId Tid, VarId Var, SiteId Site) {
   ThreadState &Thread = ensureThread(Tid);
   const VectorClock &Clock = Thread.Clock.clock();
   Epoch Current = Epoch::make(Clock.get(Tid), Tid);
-  VarState &State = Found ? *Found : Vars.getOrInsert(Var);
+  VarState &State = Found ? *Found : track(Var);
 
   // Table 4 Rule 5 (same epoch): no action. The race checks cannot fire
   // here (see the write-rule discussion in DESIGN.md), so skipping them
@@ -606,7 +609,15 @@ void PacerDetector::write(ThreadId Tid, VarId Var, SiteId Site) {
   // discard the variable's metadata entirely.
   if (!Config.DiscardMetadata)
     return; // Ablation: keep the stale (ordered) metadata.
-  Vars.erase(Var);
+  untrack(Var);
+}
+
+PacerDetector::VarState &PacerDetector::track(VarId Var) {
+  const size_t Word = Var >> 6;
+  if (Word >= Present.size())
+    Present.resize(Word + 1);
+  Present[Word] |= uint64_t{1} << (Var & 63);
+  return Vars.getOrInsert(Var);
 }
 
 void PacerDetector::threadBegin(ThreadId Tid) {
@@ -631,13 +642,16 @@ void PacerDetector::accessBatch(std::span<const Action> Batch,
 
 void PacerDetector::coldAccessBatch(std::span<const Action> Batch,
                                     const AccessShard &Shard) {
-  // Bulk fast path: every access in the epoch is the inlined
-  // "flag test + lookup miss" (Section 4). Non-sampling accesses never
-  // insert metadata and nothing else runs inside an epoch, so Vars stays
-  // empty for the whole batch; count the owned accesses and return.
+  // Bulk fast path: every access in the epoch is the inlined "flag test +
+  // bit test" (Section 4). Non-sampling accesses never insert metadata,
+  // so a clear bit stays clear for the whole batch; a set bit may be
+  // cleared by an earlier access's discard, which is why each test reads
+  // the live bitmap.
   if (Vars.empty()) {
-    // Owned reads are the owned remainder after counting owned writes, so
-    // the unsharded loop touches one byte per action and nothing else.
+    // No bit is set (before the first sampling period, or after every
+    // record was discarded): count the owned accesses and return. Owned
+    // reads are the owned remainder after counting owned writes, so the
+    // unsharded loop touches one byte per action and nothing else.
     uint64_t Writes = 0;
     if (Shard.ownsAll()) {
       for (const Action &A : Batch)
@@ -656,52 +670,23 @@ void PacerDetector::coldAccessBatch(std::span<const Action> Batch,
     return;
   }
 
-  // Some variables still hold metadata (a sampling period ended recently
-  // and its records have not all been discarded). Stage owned accesses
-  // block-wise into struct-of-arrays, issuing the probe-line prefetch for
-  // each key as it is staged; by the time the probe loop reaches a key,
-  // the staging of the rest of the block (tens of probes) has covered the
-  // prefetch latency. Decisions are never staged -- each probe runs
-  // against the live table, because a hit's read()/write() may erase
-  // entries (hit decisions can go stale in the hit -> miss direction).
-  constexpr size_t BlockSize = 64;
-  VarId Keys[BlockSize];
-  ThreadId Tids[BlockSize];
-  SiteId Sites[BlockSize];
-  uint8_t IsWrite[BlockSize];
-
   uint64_t FastReads = 0, FastWrites = 0;
-  const size_t N = Batch.size();
-  for (size_t Begin = 0; Begin < N; Begin += BlockSize) {
-    const size_t End = Begin + BlockSize < N ? Begin + BlockSize : N;
-    size_t Staged = 0;
-    for (size_t I = Begin; I < End; ++I) {
-      const Action &A = Batch[I];
-      if (!Shard.owns(A.Target))
-        continue;
-      Keys[Staged] = A.Target;
-      Tids[Staged] = A.Tid;
-      Sites[Staged] = A.Site;
-      IsWrite[Staged] = A.Kind != ActionKind::Read;
-      ++Staged;
-      Vars.prefetch(A.Target);
+  for (const Action &A : Batch) {
+    if (!Shard.owns(A.Target))
+      continue;
+    const uint64_t W = A.Kind != ActionKind::Read;
+    if (isTracked(A.Target)) {
+      // Rare: tracked metadata. The full slow path keeps the discard
+      // rules in exactly one place.
+      if (W)
+        write(A.Tid, A.Target, A.Site);
+      else
+        read(A.Tid, A.Target, A.Site);
+      continue;
     }
-    for (size_t J = 0; J < Staged; ++J) {
-      if (Vars.find(Keys[J])) {
-        // Rare: tracked metadata. The full slow path re-probes a line the
-        // block prefetch already pulled in and keeps the discard rules in
-        // exactly one place.
-        if (IsWrite[J])
-          write(Tids[J], Keys[J], Sites[J]);
-        else
-          read(Tids[J], Keys[J], Sites[J]);
-        continue;
-      }
-      // Miss: the inlined fast path, folded into branchless counters.
-      const uint64_t W = IsWrite[J];
-      FastWrites += W;
-      FastReads += W ^ 1;
-    }
+    // Clear bit: the inlined fast path, folded into branchless counters.
+    FastWrites += W;
+    FastReads += W ^ 1;
   }
   Stats.ReadFastNonSampling += FastReads;
   Stats.WriteFastNonSampling += FastWrites;
@@ -797,6 +782,13 @@ const void *PacerDetector::lockClockKeyForTest(LockId Lock) const {
 const ReadMap *PacerDetector::readMapForTest(VarId Var) const {
   const VarState *State = Vars.find(Var);
   return State ? &State->R : nullptr;
+}
+
+size_t PacerDetector::presenceBitCountForTest() const {
+  size_t Count = 0;
+  for (uint64_t Word : Present)
+    Count += static_cast<size_t>(__builtin_popcountll(Word));
+  return Count;
 }
 
 Epoch PacerDetector::writeEpochForTest(VarId Var) const {

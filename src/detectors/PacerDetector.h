@@ -27,7 +27,9 @@
 ///
 /// Read/write instrumentation follows the paper's inlined fast path: when
 /// not sampling and the variable has no metadata, the hook returns after a
-/// single flag-and-lookup check.
+/// flag test and one bit test in a dense per-variable presence bitmap --
+/// the analogue of the paper's null test on the object's header word
+/// (Section 4). Only variables whose bit is set pay a table lookup.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -193,6 +195,9 @@ public:
   const ReadMap *readMapForTest(VarId Var) const;
   /// Write epoch of \p Var (none() if discarded or absent).
   Epoch writeEpochForTest(VarId Var) const;
+  /// Whether \p Var's presence bit is set, and how many bits are set.
+  bool presenceBitForTest(VarId Var) const { return isTracked(Var); }
+  size_t presenceBitCountForTest() const;
 
 private:
   struct ThreadState {
@@ -266,16 +271,36 @@ private:
   void joinIntoVolatile(SyncObjState &Vol, ThreadId Tid);
 
   /// The non-sampling cold kernel: analyses one phase-pure epoch with no
-  /// per-access dispatch. With no tracked variables the epoch reduces to
-  /// two counter additions (non-sampling accesses never insert metadata,
-  /// so emptiness is loop-invariant downward). Otherwise accesses are
-  /// staged block-wise into (var, tid, isWrite) struct-of-arrays, the
-  /// FlatVarTable probe line of each staged key is prefetched a block
-  /// ahead of its probe, misses fold into branchless fast-path counters,
-  /// and only hits -- rare at low rates -- fall through to the full
-  /// read()/write() discard logic. Bit-identical to the per-access loop.
+  /// per-access dispatch. Each owned access tests its presence bit; a
+  /// clear bit (no metadata, the common case at every low rate) folds
+  /// into branchless fast-path counters, and only a set bit falls through
+  /// to the full read()/write() discard logic. Bit-identical to the
+  /// per-access loop.
   void coldAccessBatch(std::span<const Action> Batch,
                        const AccessShard &Shard);
+
+  /// True when \p Var holds metadata: its presence bit is set.
+  bool isTracked(VarId Var) const {
+    const size_t Word = Var >> 6;
+    return Word < Present.size() && ((Present[Word] >> (Var & 63)) & 1);
+  }
+
+  /// Vars.getOrInsert(Var) that also sets the presence bit. Every
+  /// insertion goes through here.
+  VarState &track(VarId Var);
+
+  /// Vars.erase(Var) that also clears the presence bit. Every erasure of
+  /// a single entry goes through here; purgeSlot's bulk eraseIf clears
+  /// the bits of the entries it drops itself.
+  void untrack(VarId Var) {
+    Vars.erase(Var);
+    clearPresent(Var);
+  }
+
+  /// Clears \p Var's presence bit; the caller erases its entry.
+  void clearPresent(VarId Var) {
+    Present[Var >> 6] &= ~(uint64_t{1} << (Var & 63));
+  }
 
   void reportPriorWriteRace(const VarState &State, VarId Var, ThreadId Tid,
                             AccessKind Kind, SiteId Site);
@@ -293,9 +318,17 @@ private:
   std::vector<ThreadState> Threads;
   std::vector<SyncObjState> Locks;
   std::vector<SyncObjState> Volatiles;
-  /// Open-addressing flat table: the read/write fast path is one probe
-  /// (usually one cache line) instead of a chained unordered_map lookup.
+  /// Open-addressing flat table holding the metadata of tracked
+  /// variables; probed only for variables whose presence bit is set.
   FlatVarTable<VarState> Vars;
+
+  /// Presence bitmap, one bit per VarId: bit x is set exactly when Vars
+  /// holds an entry for x. It plays the part of the paper's object header
+  /// word, so like that word it is not charged as access metadata
+  /// (accessMetadataBytes() stays additive across shard replicas). It
+  /// grows only on insertion, to at most MaxActionObjectId + 1 bits
+  /// (2 MiB) for any trace the readers accept.
+  std::vector<uint64_t> Present;
 
   /// Accordion-clock slot allocation and retirement (idle unless
   /// enabled); Threads is indexed by the slots it hands out.

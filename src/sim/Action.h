@@ -80,6 +80,15 @@ inline bool isAccessAction(ActionKind Kind) {
 /// but 16M threads outlasts every workload here by orders of magnitude.
 inline constexpr uint32_t MaxActionTid = (1u << 24) - 1;
 
+/// Largest variable, lock or volatile id a trace may carry. Detectors
+/// index dense per-object state by these ids (PACER's presence bitmap,
+/// the other detectors' variable vectors, every detector's lock and
+/// volatile vectors), so an id near 2^32 in a hostile trace would demand
+/// gigabytes. The trace readers reject larger ids (validateActionRecord);
+/// the cap matches the tid width and caps PACER's bitmap at 2 MiB. The
+/// generated workloads stay far below it.
+inline constexpr uint32_t MaxActionObjectId = (1u << 24) - 1;
+
 /// One dynamic action, packed to 12 bytes (Kind and Tid share a word).
 /// The layout doubles as the v2 trace record: see sim/TraceIO.h.
 struct Action {

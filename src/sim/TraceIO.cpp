@@ -151,9 +151,30 @@ bool pacer::unpackBinaryRecord(const unsigned char *In, Action &A) {
 }
 
 const char *pacer::validateActionRecord(const Action &A) {
-  if ((A.Kind == ActionKind::Fork || A.Kind == ActionKind::Join) &&
-      A.Target > MaxActionTid)
+  // Every kind but ThreadExit carries a thread or object id in Target, and
+  // both id spaces have the same width, so one comparison clears a valid
+  // record; the loaders run this on every record.
+  static_assert(MaxActionTid == MaxActionObjectId,
+                "the screen below assumes one id width");
+  if (A.Target <= MaxActionObjectId || A.Kind == ActionKind::ThreadExit)
+    return nullptr;
+  switch (A.Kind) {
+  case ActionKind::Fork:
+  case ActionKind::Join:
     return "fork/join child thread id out of range";
+  case ActionKind::Read:
+  case ActionKind::Write:
+    return "variable id out of range";
+  case ActionKind::Acquire:
+  case ActionKind::Release:
+    return "lock id out of range";
+  case ActionKind::VolatileRead:
+  case ActionKind::VolatileWrite:
+  case ActionKind::AwaitVolatile:
+    return "volatile id out of range";
+  case ActionKind::ThreadExit:
+    break;
+  }
   return nullptr;
 }
 

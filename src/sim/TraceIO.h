@@ -91,11 +91,13 @@ bool unpackBinaryRecord(const unsigned char *In, Action &A);
 
 /// Validates a decoded record's fields beyond the kind byte: Fork and
 /// Join carry a child ThreadId in Target, which must fit the 24-bit tid
-/// space (MaxActionTid) like every other tid -- a larger value cannot
-/// have come from the writer and would grow per-thread detector state
-/// without bound. Returns nullptr for a well-formed record, else a
-/// static reason string. Every trace read path (buffered, mmap view,
-/// streaming, text) applies this before handing actions to analysis.
+/// space (MaxActionTid) like every other tid, and every other kind but
+/// ThreadExit carries a variable, lock or volatile id, which must not
+/// exceed MaxActionObjectId. A larger value would grow dense per-object
+/// detector state without bound. Returns nullptr for a well-formed
+/// record, else a static reason string. Every trace read path (buffered,
+/// mmap view, streaming, text) applies this before handing actions to
+/// analysis.
 const char *validateActionRecord(const Action &A);
 
 /// Renders the 24-byte v2 header for \p Count records into \p Out.

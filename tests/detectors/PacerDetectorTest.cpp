@@ -8,9 +8,13 @@
 
 #include "detectors/PacerDetector.h"
 
+#include "support/Rng.h"
+
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 using namespace pacer;
 using namespace pacer::test;
@@ -306,6 +310,125 @@ TEST_F(PacerDetectorTest, MetadataBytesShrinkAfterDiscard) {
   replay(T);
   EXPECT_EQ(D.trackedVariableCount(), 0u);
   EXPECT_LT(D.liveMetadataBytes(), During);
+}
+
+/// Drives a detector with a seeded random mix of sampling toggles, lock
+/// handoffs, forks, joins, and reads/writes (delivered one at a time,
+/// through single-access batches, and through multi-access batches), and
+/// after every step checks the presence-bitmap invariant: a variable's
+/// bit is set exactly when it has a Vars entry, and no other bit is set.
+/// With accordion clocks the joins retire slots, so purges and
+/// compactions run too.
+void checkPresenceBitmapInvariant(bool Accordion, uint64_t Seed) {
+  SCOPED_TRACE(::testing::Message()
+               << "accordion " << Accordion << " seed " << Seed);
+  CollectingSink Sink;
+  PacerConfig Config;
+  Config.UseAccordionClocks = Accordion;
+  PacerDetector D(Sink, Config);
+  Rng R(Seed);
+
+  // Variables spread over several bitmap words, including word-boundary
+  // ids; a small pool so accesses keep meeting each other's metadata.
+  const std::vector<VarId> Pool{0, 1, 2, 3, 63, 64, 65, 127, 128, 700,
+                                701, 4095, 4096, 9999};
+  std::vector<ThreadId> Live{0};
+  ThreadId NextThread = 1;
+  D.threadBegin(0);
+
+  size_t Erasures = 0, Recycled = 0, Compactions = 0;
+  size_t PrevTracked = 0, PrevSlots = D.slotCount();
+  auto Check = [&](const char *Step) {
+    for (VarId Var : Pool)
+      ASSERT_EQ(D.presenceBitForTest(Var), D.readMapForTest(Var) != nullptr)
+          << Step << ": var " << Var;
+    ASSERT_EQ(D.presenceBitCountForTest(), D.trackedVariableCount()) << Step;
+    Erasures += D.trackedVariableCount() < PrevTracked;
+    PrevTracked = D.trackedVariableCount();
+    Compactions += D.slotCount() < PrevSlots;
+    PrevSlots = D.slotCount();
+  };
+  auto RandomAccess = [&]() {
+    const ThreadId Tid = Live[R.nextBelow(Live.size())];
+    const VarId Var = Pool[R.nextBelow(Pool.size())];
+    const ActionKind Kind =
+        R.nextBool(0.5) ? ActionKind::Write : ActionKind::Read;
+    return Action{Kind, Tid, Var, static_cast<SiteId>(R.nextBelow(8))};
+  };
+
+  for (int Step = 0; Step < 4000; ++Step) {
+    // Alternate growth and shrink phases so slot counts swing past the
+    // recycler's compaction threshold (16 slots, half of them free).
+    const bool Growing = (Step / 500) % 2 == 0;
+    const uint64_t Pick = R.nextBelow(100);
+    if (Pick < 4) {
+      if (D.isSampling())
+        D.endSamplingPeriod();
+      else
+        D.beginSamplingPeriod();
+      Check("toggle");
+    } else if (Pick < 8) {
+      if (!Growing || Live.size() >= 24)
+        continue;
+      const ThreadId Parent = Live[R.nextBelow(Live.size())];
+      D.fork(Parent, NextThread);
+      Live.push_back(NextThread++);
+      Check("fork");
+    } else if (Pick < 12) {
+      if (Growing || Live.size() <= 1)
+        continue;
+      const size_t Index = 1 + R.nextBelow(Live.size() - 1);
+      const ThreadId Child = Live[Index];
+      Live.erase(Live.begin() + static_cast<ptrdiff_t>(Index));
+      D.threadExit(Child);
+      Recycled += D.recycleDeadSlots();
+      Check("exit");
+      D.join(Live[R.nextBelow(Live.size())], Child);
+      Recycled += D.recycleDeadSlots();
+      Check("join");
+    } else if (Pick < 30) {
+      const ThreadId Tid = Live[R.nextBelow(Live.size())];
+      const LockId Lock = static_cast<LockId>(R.nextBelow(2));
+      D.acquire(Tid, Lock);
+      Check("acquire");
+      D.release(Tid, Lock);
+      Check("release");
+    } else if (Pick < 55) {
+      const Action A = RandomAccess();
+      if (A.Kind == ActionKind::Write)
+        D.write(A.Tid, A.Target, A.Site);
+      else
+        D.read(A.Tid, A.Target, A.Site);
+      Check("access");
+    } else if (Pick < 85) {
+      const Action A = RandomAccess();
+      D.accessBatch(std::span<const Action>(&A, 1));
+      Check("single-access batch");
+    } else {
+      std::vector<Action> Batch;
+      for (uint64_t I = 0, N = 2 + R.nextBelow(30); I < N; ++I)
+        Batch.push_back(RandomAccess());
+      D.accessBatch(Batch);
+      Check("batch");
+    }
+    if (::testing::Test::HasFatalFailure())
+      return;
+  }
+  // The run must have exercised what the invariant guards: discards
+  // (bits cleared) and, with accordion clocks, slot purges and
+  // compactions.
+  EXPECT_GT(Erasures, 0u);
+  if (Accordion) {
+    EXPECT_GT(Recycled, 0u);
+    EXPECT_GT(Compactions, 0u);
+  }
+}
+
+TEST_F(PacerDetectorTest, PresenceBitSetExactlyWhenVariableTracked) {
+  for (uint64_t Seed = 1; Seed <= 6; ++Seed) {
+    checkPresenceBitmapInvariant(/*Accordion=*/false, Seed);
+    checkPresenceBitmapInvariant(/*Accordion=*/true, Seed);
+  }
 }
 
 } // namespace

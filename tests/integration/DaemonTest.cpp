@@ -241,6 +241,61 @@ TEST(DaemonTest, RejectsMalformedAndOversizeAndKeepsServing) {
   Server.stop();
 }
 
+TEST(DaemonTest, RejectsOutOfRangeObjectIdsAndKeepsServing) {
+  // One hostile id would make the detector size a dense vector to ~2^32
+  // entries and abort the whole daemon; the trace readers must reject
+  // the submission instead.
+  std::string Dir = scratchDir("hostile_ids");
+  IngestServer::Config Config = baseConfig(Dir);
+  Config.TcpPort = 0;
+  IngestServer Server(Config);
+  std::string Error;
+  ASSERT_TRUE(Server.start(Error)) << Error;
+  const int Port = Server.tcpPort();
+
+  const struct {
+    const char *Name;
+    const char *Bytes;
+  } Cases[] = {
+      {"lock.trace", "pacer-trace v1 2\nacq 0 4294967290 0\n"
+                     "rel 0 4294967290 0\n"},
+      {"var.trace", "pacer-trace v1 2\nwr 0 4294967290 1\nexit 0 - -\n"},
+  };
+  for (const auto &Case : Cases) {
+    std::string Path = Dir + "/" + Case.Name;
+    std::FILE *Out = std::fopen(Path.c_str(), "wb");
+    ASSERT_NE(Out, nullptr);
+    std::fputs(Case.Bytes, Out);
+    std::fclose(Out);
+    ingest::SubmitResult R = submitTcp(Port, Path, Case.Name);
+    ASSERT_TRUE(R.Ok) << Case.Name << ": " << R.Message;
+    EXPECT_EQ(R.Code, ingest::Status::Malformed) << Case.Name;
+  }
+
+  // A binary submission with an out-of-range variable id.
+  Trace Hostile = generateTrace(testWorkload(), 9);
+  for (Action &A : Hostile)
+    if (A.Kind == ActionKind::Write) {
+      A.Target = MaxActionObjectId + 1;
+      break;
+    }
+  std::string HostileBinary = Dir + "/hostile.btrace";
+  ASSERT_TRUE(writeTraceFileBinary(HostileBinary, Hostile));
+  ingest::SubmitResult R = submitTcp(Port, HostileBinary, "hostile-bin");
+  ASSERT_TRUE(R.Ok) << R.Message;
+  EXPECT_EQ(R.Code, ingest::Status::Malformed);
+
+  // The daemon is still healthy and still commits.
+  R = submitTcp(Port, writeTraceFor(Dir, 9), "good-1");
+  ASSERT_TRUE(R.Ok) << R.Message;
+  EXPECT_EQ(R.Code, ingest::Status::Committed);
+
+  IngestServer::Counters Counters = Server.counters();
+  EXPECT_EQ(Counters.MalformedRejected, 3u);
+  EXPECT_EQ(Counters.Committed, 1u);
+  Server.stop();
+}
+
 TEST(DaemonTest, DropDirectoryIngestsCompletedFiles) {
   std::string Dir = scratchDir("dropdir");
   IngestServer::Config Config = baseConfig(Dir);

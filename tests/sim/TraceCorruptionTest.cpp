@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "runtime/AnalysisSession.h"
 #include "sim/StreamingTraceReader.h"
 #include "sim/TraceIO.h"
 #include "sim/TraceView.h"
@@ -131,6 +132,39 @@ std::vector<CorpusEntry> corruptCorpus() {
     Corpus.push_back({"join_tid_out_of_range", binaryImage(Bad)});
   }
 
+  // Variable, lock and volatile ids index dense detector state and must
+  // not exceed MaxActionObjectId; one past it is already rejected.
+  {
+    Trace Bad = T;
+    Bad[2].Target = 4294967290u; // The write.
+    Corpus.push_back({"write_var_out_of_range", binaryImage(Bad)});
+  }
+  {
+    Trace Bad = T;
+    Bad[4].Target = MaxActionObjectId + 1; // The read.
+    Corpus.push_back({"read_var_out_of_range", binaryImage(Bad)});
+  }
+  {
+    Trace Bad = T;
+    Bad[1].Target = 4294967290u; // The acquire.
+    Corpus.push_back({"acquire_lock_out_of_range", binaryImage(Bad)});
+  }
+  {
+    Trace Bad = T;
+    Bad[3].Target = MaxActionObjectId + 1; // The release.
+    Corpus.push_back({"release_lock_out_of_range", binaryImage(Bad)});
+  }
+  {
+    Trace Bad = T;
+    Bad[1] = {ActionKind::VolatileWrite, 1, 4294967290u, InvalidId};
+    Corpus.push_back({"volatile_write_out_of_range", binaryImage(Bad)});
+  }
+  {
+    Trace Bad = T;
+    Bad[4] = {ActionKind::AwaitVolatile, 0, MaxActionObjectId + 1, 1};
+    Corpus.push_back({"await_volatile_out_of_range", binaryImage(Bad)});
+  }
+
   return Corpus;
 }
 
@@ -220,6 +254,66 @@ TEST(TraceCorruptionTest, EmptyAndGarbageFilesRejectCleanly) {
     EXPECT_TRUE(streamRejects(Stream)) << Case.Name;
     std::remove(Path.c_str());
   }
+}
+
+TEST(TraceCorruptionTest, HostileObjectIdsRejectedBeforeAnalysis) {
+  // Tiny text traces whose one bad id would have every detector size a
+  // dense vector to ~2^32 entries: the readers must reject them, so no
+  // detector ever sees them (the analysis fails cleanly, the process
+  // lives).
+  const struct {
+    const char *Name;
+    const char *Bytes;
+  } Cases[] = {
+      {"text_write_var", "pacer-trace v1 2\nwr 0 4294967290 1\nexit 0 - -\n"},
+      {"text_read_var", "pacer-trace v1 1\nrd 0 16777216 1\n"},
+      {"text_lock", "pacer-trace v1 2\nacq 0 4294967290 0\n"
+                    "rel 0 4294967290 0\n"},
+      {"text_volatile", "pacer-trace v1 1\nvwr 0 4294967290 -\n"},
+  };
+  const DetectorSetup Setups[] = {pacerSetup(0.5), fastTrackSetup(),
+                                  genericSetup(), literaceSetup()};
+  for (const auto &Case : Cases) {
+    std::string Path = writeCorpusFile(
+        std::string("pacer_corrupt_") + Case.Name, Case.Bytes);
+    TraceParseResult Result = readTraceFile(Path);
+    EXPECT_FALSE(Result.Ok) << Case.Name;
+    EXPECT_NE(Result.Error.find("out of range"), std::string::npos)
+        << Case.Name << ": " << Result.Error;
+
+    StreamingTraceReader Stream(Path, 4);
+    EXPECT_TRUE(streamRejects(Stream)) << Case.Name;
+
+    for (const DetectorSetup &Setup : Setups) {
+      for (bool Streamed : {false, true}) {
+        AnalysisRequest Request;
+        Request.Setup = Setup;
+        Request.Stream = Streamed;
+        AnalysisResult Analysis =
+            AnalysisSession(flatSiteWorkload(), Request).analyzeFile(Path);
+        EXPECT_FALSE(Analysis.Ok)
+            << Case.Name << " " << detectorKindName(Setup.Kind)
+            << (Streamed ? " streamed" : "");
+      }
+    }
+    std::remove(Path.c_str());
+  }
+}
+
+TEST(TraceCorruptionTest, LargestObjectIdIsAccepted) {
+  // The cap itself is legal in every read path.
+  Trace T = baseTrace();
+  T[2].Target = MaxActionObjectId; // The write's variable.
+  T[4].Target = MaxActionObjectId; // The read's variable.
+  T[1].Target = MaxActionObjectId; // The acquired lock ...
+  T[3].Target = MaxActionObjectId; // ... and its release.
+  std::string Path = writeCorpusFile("pacer_corrupt_cap_ok", binaryImage(T));
+  TraceParseResult Buffered = readTraceFile(Path);
+  ASSERT_TRUE(Buffered.Ok) << Buffered.Error;
+  EXPECT_EQ(Buffered.T.size(), T.size());
+  TraceView View = TraceView::open(Path);
+  ASSERT_TRUE(View.ok()) << View.error();
+  std::remove(Path.c_str());
 }
 
 } // namespace

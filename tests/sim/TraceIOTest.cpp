@@ -133,7 +133,8 @@ std::string writeBytes(const std::string &Name, const std::string &Bytes) {
 
 /// A hand trace exercising the encoding's edge values: InvalidId targets
 /// and sites, the AwaitVolatile kind (spin-loop threshold reads carry a
-/// Site), the maximal 24-bit thread id, and extreme target/site values.
+/// Site), the maximal 24-bit thread id, the largest accepted variable id
+/// (MaxActionObjectId), and an extreme site value.
 Trace edgeCaseTrace() {
   Trace T = TraceBuilder()
                 .fork(0, 1)
@@ -145,13 +146,18 @@ Trace edgeCaseTrace() {
                 .join(0, 1)
                 .take();
   T.push_back({ActionKind::AwaitVolatile, 0, 2, 1});
-  T.push_back({ActionKind::Read, MaxActionTid, 0xFFFFFFFEu, 0xFFFFFFFEu});
+  T.push_back(
+      {ActionKind::Read, MaxActionTid, MaxActionObjectId, 0xFFFFFFFEu});
   T.push_back({ActionKind::ThreadExit, 0, InvalidId, InvalidId});
   return T;
 }
 
 TEST(TraceIOBinaryTest, RecordPackUnpackRoundTrips) {
-  for (const Action &A : edgeCaseTrace()) {
+  // The record encoding itself carries any 32-bit target; only the trace
+  // readers bound object ids.
+  Trace T = edgeCaseTrace();
+  T.push_back({ActionKind::Read, MaxActionTid, 0xFFFFFFFEu, 0xFFFFFFFEu});
+  for (const Action &A : T) {
     unsigned char Rec[BinaryTraceRecordBytes];
     packBinaryRecord(A, Rec);
     Action Back{};

@@ -19,8 +19,8 @@
 // metadata) regardless of trace size. Results are bit-identical across
 // formats and read paths.
 //
-//   racedetect --generate=eclipse --scale=0.2 --seed=7 --out=run.trace \
-//              --trace-format=binary
+//   racedetect --generate=eclipse --seed=7 --out=run.trace
+//   racedetect --generate=eclipse --trace-format=binary --out=run.trace
 //   racedetect run.trace --detector=pacer --rate=0.03 --stats
 //   racedetect a.trace b.trace c.trace --jobs=3 --shards=4
 //   racedetect huge.trace --stream --stream-window=65536
