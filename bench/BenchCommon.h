@@ -17,8 +17,7 @@
 ///   --jobs=N          worker threads for trial-level parallelism
 ///   --shards=K        variable shards per trial (intra-trial parallel
 ///                     replay; results are bit-identical across K);
-///                     --shards=auto picks K per workload from trace
-///                     size and hardware
+///                     --shards=auto replays sequentially, like 1
 ///
 /// The shared flags live in an OptionRegistry (benchOptionRegistry);
 /// binaries with extra flags declare them on that registry before parsing,
@@ -61,7 +60,8 @@ struct BenchOptions {
   /// Variable shards per trial replay (--shards). Each trial's accesses
   /// are partitioned across K detector replicas analysed concurrently;
   /// results are bit-identical across shard counts, 1 is sequential and
-  /// 0 ("auto") picks K from the trace size and the hardware.
+  /// 0 ("auto") replays sequentially too (sharding does not pay for its
+  /// index end to end; see DESIGN.md §6d).
   unsigned Shards = 1;
 };
 
@@ -84,8 +84,7 @@ inline OptionRegistry benchOptionRegistry(const std::string &Usage,
               "worker threads for trial-level parallelism")
       .addString("shards", "1",
                  "variable shards per trial replay (intra-trial "
-                 "parallelism): a count, or 'auto' to pick from trace "
-                 "size and hardware")
+                 "parallelism): a count; 'auto' = 1 (sequential)")
       .addFlag("pin-threads",
                "pin pool workers to CPUs (also PACER_PIN_THREADS=1); "
                "best-effort, no-op where unsupported");

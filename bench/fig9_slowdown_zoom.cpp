@@ -30,8 +30,7 @@ int main(int Argc, char **Argv) {
     Configs.push_back({"r=" + formatPercent(Rate, 0), pacerSetup(Rate)});
   // Intra-trial parallel replay: every configuration (including the
   // baseline) shards identically so the slowdown ratios stay comparable.
-  // --shards=auto flows through as 0; measureOverheads resolves it once
-  // per workload from a probe trace and logs the chosen K.
+  // --shards=auto flows through as 0, which replays sequentially.
   for (OverheadConfig &Config : Configs)
     Config.Setup.Shards = Options.Shards;
 

@@ -558,7 +558,7 @@ int runJsonMode(int Argc, const char *const *Argv) {
       .addDouble("scale", 1.0, "workload scale factor")
       .addInt("seed", 12345, "trace seed")
       .addString("shards", "1",
-                 "variable shards per trial replay: a count or 'auto'")
+                 "variable shards per trial replay: a count; 'auto' = 1")
       .addFlag("pin-threads",
                "pin pool workers to CPUs (also PACER_PIN_THREADS=1); "
                "best-effort, no-op where unsupported");
@@ -597,10 +597,6 @@ int runJsonMode(int Argc, const char *const *Argv) {
   CompiledWorkload Workload(
       scaleWorkload(mediumTestWorkload(), Scale));
   Trace T = generateTrace(Workload, Seed);
-  if (Shards == 0) {
-    Shards = resolveShardCount(0, countTraceAccesses(T));
-    std::printf("auto-sharding: K=%u\n", Shards);
-  }
   // One index for the whole run: every detector and repetition shards the
   // same trace the same way, so the build cost amortizes to zero and the
   // timed loops measure pure replay.

@@ -1,10 +1,14 @@
 //===- bench/micro_sharded.cpp - Indexed sharded-replay benchmark ---------==//
 //
-// Measures what the TraceIndex buys sharded replay: for K in {1, 2, 4, 8}
-// and a sampling (pacer r=3%) and non-sampling (fasttrack) detector, times
-// the index build, the full-scan engine (every replica re-scans the whole
-// trace: O(K * trace) total work), and the indexed engine (each replica
-// walks the sync skeleton plus its owned runs: O(K * sync + accesses)).
+// Measures sharded replay against plain sequential replay: for a sampling
+// (pacer r=3%) and a non-sampling (fasttrack) detector it times the
+// sequential Runtime replay (Shards = 1, no index) and, for K in
+// {2, 4, 8}, the index build, the full-scan engine (every replica
+// re-scans the whole trace: O(K * trace) total work), and the indexed
+// engine (each replica walks the sync skeleton plus its owned runs:
+// O(K * sync + accesses)). The "vs sequential" column is sequential time
+// over index build + indexed replay, the cost a sharded analysis of one
+// trace pays; below 1 sharding loses.
 //
 // Replicas run serially (Jobs = 1) on purpose: the quantity under test is
 // *total work*, which serial execution exposes directly as wall-clock and
@@ -13,9 +17,9 @@
 // a whole-trace scan regardless of K.
 //
 // Writes BENCH_sharded_replay.json; diffing it across commits tracks the
-// perf trajectory. Exits non-zero if the two engines ever disagree on the
-// dynamic race count, so the smoke-benchmark CI job doubles as an
-// equivalence check.
+// perf trajectory. Exits non-zero if either sharded engine ever disagrees
+// with sequential replay on the races found, so the smoke-benchmark CI job
+// doubles as an equivalence check.
 //
 //===----------------------------------------------------------------------===//
 
@@ -45,11 +49,34 @@ struct Row {
   double IndexBuildMs = 0.0;
   double FullScanMs = 0.0;
   double IndexedMs = 0.0;
+  /// The same detector's sequential replay (Shards = 1, no index).
+  double SequentialMs = 0.0;
   uint64_t DynamicRaces = 0;
-  double speedup() const {
-    return IndexedMs > 0.0 ? FullScanMs / IndexedMs : 0.0;
+  /// What sharding one trace costs from start to finish.
+  double indexPlusIndexedMs() const { return IndexBuildMs + IndexedMs; }
+  /// Sequential time over index + indexed time: above 1 sharding wins.
+  double vsSequential() const {
+    return indexPlusIndexedMs() > 0.0 ? SequentialMs / indexPlusIndexedMs()
+                                      : 0.0;
   }
 };
+
+/// Whether \p A found exactly the races \p B did; prints a diagnostic
+/// otherwise.
+bool sameRaces(const AnalysisResult &A, const AnalysisResult &B,
+               const char *Engine, const char *Detector, unsigned K) {
+  if (A.Races == B.Races && A.DynamicRaces == B.DynamicRaces)
+    return true;
+  std::fprintf(stderr,
+               "ENGINE MISMATCH: %s K=%u %s %llu races (%zu distinct) vs "
+               "sequential %llu (%zu distinct)\n",
+               Detector, K, Engine,
+               static_cast<unsigned long long>(A.DynamicRaces),
+               A.Races.size(),
+               static_cast<unsigned long long>(B.DynamicRaces),
+               B.Races.size());
+  return false;
+}
 
 /// Both engines run through AnalysisSession; only the index policy
 /// differs. Serial (ShardJobs = 1) on purpose: measure total work, not
@@ -190,14 +217,32 @@ int main(int Argc, char **Argv) {
       {"pacer_r3", Pacer},
       {"fasttrack", fastTrackSetup()},
   };
-  const unsigned ShardCounts[] = {1, 2, 4, 8};
+  // K = 1 is the sequential replay itself: both engines hand it to the
+  // Runtime, so it is the baseline row, not a sharded point.
+  const unsigned ShardCounts[] = {2, 4, 8};
 
   Timer Wall;
   std::vector<Row> Rows;
   bool Mismatch = false;
   for (const auto &D : Detectors) {
+    // The baseline every sharded point is measured against.
+    AnalysisSession SequentialSession(Workload,
+                                      requestFor(D.Setup, 1, false, Seed));
+    std::vector<double> SeqMs;
+    AnalysisResult Sequential;
+    for (uint32_t Rep = 0; Rep < Reps; ++Rep) {
+      Timer Run;
+      Sequential = SequentialSession.analyzeTrace(T);
+      SeqMs.push_back(Run.seconds() * 1e3);
+    }
+    const double SequentialMs = median(SeqMs);
+    std::printf("%-10s sequential %8.2f ms  races %llu\n", D.Name,
+                SequentialMs,
+                static_cast<unsigned long long>(Sequential.DynamicRaces));
+
     for (unsigned K : ShardCounts) {
       Row Out{D.Name, K};
+      Out.SequentialMs = SequentialMs;
 
       AnalysisSession FullSession(Workload,
                                   requestFor(D.Setup, K, false, Seed));
@@ -219,26 +264,18 @@ int main(int Argc, char **Argv) {
         IndexedMs.push_back(Indexed.seconds() * 1e3);
 
         Out.DynamicRaces = IndexedResult.DynamicRaces;
-        if (FullResult.DynamicRaces != IndexedResult.DynamicRaces) {
-          std::fprintf(stderr,
-                       "ENGINE MISMATCH: %s K=%u full-scan %llu races vs "
-                       "indexed %llu\n",
-                       D.Name, K,
-                       static_cast<unsigned long long>(
-                           FullResult.DynamicRaces),
-                       static_cast<unsigned long long>(
-                           IndexedResult.DynamicRaces));
-          Mismatch = true;
-        }
+        Mismatch |= !sameRaces(FullResult, Sequential, "full-scan", D.Name, K);
+        Mismatch |= !sameRaces(IndexedResult, Sequential, "indexed", D.Name, K);
       }
       Out.IndexBuildMs = median(BuildMs);
       Out.FullScanMs = median(FullMs);
       Out.IndexedMs = median(IndexedMs);
       Rows.push_back(Out);
       std::printf("%-10s K=%u  build %7.2f ms  full-scan %8.2f ms  "
-                  "indexed %8.2f ms  speedup %5.2fx  races %llu\n",
+                  "indexed %8.2f ms  build+indexed %8.2f ms  "
+                  "vs sequential %5.2fx  races %llu\n",
                   Out.Detector, Out.Shards, Out.IndexBuildMs, Out.FullScanMs,
-                  Out.IndexedMs, Out.speedup(),
+                  Out.IndexedMs, Out.indexPlusIndexedMs(), Out.vsSequential(),
                   static_cast<unsigned long long>(Out.DynamicRaces));
     }
   }
@@ -290,16 +327,24 @@ int main(int Argc, char **Argv) {
                  PR.Topo, PR.Workers, PR.Spread.c_str(),
                  I + 1 == PlanRows.size() ? "" : ",");
   }
+  std::fprintf(Out, "  ],\n  \"sequential\": [\n");
+  for (size_t I = 0; I < Rows.size(); I += std::size(ShardCounts))
+    std::fprintf(Out,
+                 "    {\"detector\": \"%s\", \"sequential_ms\": %.3f}%s\n",
+                 Rows[I].Detector, Rows[I].SequentialMs,
+                 I + std::size(ShardCounts) >= Rows.size() ? "" : ",");
   std::fprintf(Out, "  ],\n  \"points\": [\n");
   for (size_t I = 0; I != Rows.size(); ++I) {
     const Row &Row = Rows[I];
     std::fprintf(Out,
                  "    {\"detector\": \"%s\", \"shards\": %u, "
                  "\"index_build_ms\": %.3f, \"full_scan_ms\": %.3f, "
-                 "\"indexed_ms\": %.3f, \"speedup\": %.3f, "
+                 "\"indexed_ms\": %.3f, \"index_plus_indexed_ms\": %.3f, "
+                 "\"sequential_ms\": %.3f, \"vs_sequential\": %.3f, "
                  "\"dynamic_races\": %llu}%s\n",
                  Row.Detector, Row.Shards, Row.IndexBuildMs, Row.FullScanMs,
-                 Row.IndexedMs, Row.speedup(),
+                 Row.IndexedMs, Row.indexPlusIndexedMs(), Row.SequentialMs,
+                 Row.vsSequential(),
                  static_cast<unsigned long long>(Row.DynamicRaces),
                  I + 1 == Rows.size() ? "" : ",");
   }

@@ -4,8 +4,30 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+#include <utility>
 
 using namespace pacer;
+
+namespace {
+
+/// Calls \p Visit once per distinct payload among \p Clocks: threads,
+/// locks and volatiles may share payloads. Sorting by payload identity
+/// keeps this O(n log n) in the number of sync objects, where a linear
+/// search per clock would be quadratic in the lock count.
+template <typename ClockT, typename VisitFn>
+void forEachDistinctPayload(
+    std::vector<std::pair<const void *, ClockT *>> &Clocks, VisitFn Visit) {
+  std::sort(Clocks.begin(), Clocks.end(),
+            [](const auto &A, const auto &B) {
+              return std::less<const void *>()(A.first, B.first);
+            });
+  for (size_t I = 0; I != Clocks.size(); ++I)
+    if (I == 0 || Clocks[I].first != Clocks[I - 1].first)
+      Visit(*Clocks[I].second);
+}
+
+} // namespace
 
 PacerDetector::ThreadState &PacerDetector::ensureThread(ThreadId Tid) {
   if (Tid >= Threads.size())
@@ -131,20 +153,17 @@ void PacerDetector::compactSlots(const SlotRemap &Remap) {
   // Renumber every clock payload exactly once: threads, locks, and
   // volatiles may share payloads, and compacting one twice would corrupt
   // it.
-  std::vector<const void *> Seen;
-  auto CompactPayload = [&](SyncClock &Clock) {
-    const void *Key = Clock.payloadKey();
-    if (std::find(Seen.begin(), Seen.end(), Key) != Seen.end())
-      return;
-    Seen.push_back(Key);
-    Clock.compactSlotsOnce(NewToOld, NewCount);
+  std::vector<std::pair<const void *, SyncClock *>> Clocks;
+  Clocks.reserve(Threads.size() + Locks.size() + Volatiles.size());
+  auto AddClock = [&](SyncClock &Clock) {
+    Clocks.emplace_back(Clock.payloadKey(), &Clock);
   };
   for (ThreadState &State : Threads) {
-    CompactPayload(State.Clock);
+    AddClock(State.Clock);
     State.Ver.compactSlots(NewToOld, NewCount);
   }
   auto CompactSyncObj = [&](SyncObjState &State) {
-    CompactPayload(State.Clock);
+    AddClock(State.Clock);
     VersionEpoch V = State.VEpoch;
     if (!V.isTop() && V.version() > 0) {
       // Purging already forced epochs naming freed slots to top, so the
@@ -156,6 +175,9 @@ void PacerDetector::compactSlots(const SlotRemap &Remap) {
     CompactSyncObj(State);
   for (SyncObjState &State : Volatiles)
     CompactSyncObj(State);
+  forEachDistinctPayload(Clocks, [&](SyncClock &Clock) {
+    Clock.compactSlotsOnce(NewToOld, NewCount);
+  });
 
   // Access metadata: purging removed every epoch and read entry naming a
   // freed slot, so a plain renumbering suffices and no entry dies here.
@@ -706,13 +728,10 @@ size_t PacerDetector::liveMetadataBytes() const {
   size_t Bytes = 0;
   // Count each clock payload once: sharing is precisely what makes
   // synchronization metadata cheap in non-sampling periods.
-  std::vector<const void *> Seen;
+  std::vector<std::pair<const void *, const SyncClock *>> Clocks;
+  Clocks.reserve(Threads.size() + Locks.size() + Volatiles.size());
   auto AddPayload = [&](const SyncClock &Clock) {
-    const void *Key = Clock.payloadKey();
-    if (std::find(Seen.begin(), Seen.end(), Key) != Seen.end())
-      return;
-    Seen.push_back(Key);
-    Bytes += Clock.payloadBytes();
+    Clocks.emplace_back(Clock.payloadKey(), &Clock);
   };
   for (const ThreadState &State : Threads) {
     if (!State.Started)
@@ -730,6 +749,9 @@ size_t PacerDetector::liveMetadataBytes() const {
     AddPayload(State.Clock);
     Bytes += sizeof(State);
   }
+  forEachDistinctPayload(Clocks, [&](const SyncClock &Clock) {
+    Bytes += Clock.payloadBytes();
+  });
   // Per-variable storage is charged per live entry (plus read-map
   // payloads) so the measurement is additive across shard partitions.
   Bytes += accessMetadataBytes();

@@ -9,7 +9,6 @@
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <optional>
 
@@ -19,24 +18,6 @@ std::vector<OverheadResult>
 pacer::measureOverheads(const CompiledWorkload &Workload,
                         const std::vector<OverheadConfig> &Configs,
                         uint32_t Trials, uint64_t BaseSeed, unsigned Jobs) {
-  // Auto shard requests (Shards == 0) resolve once from a probe trace so
-  // every trial and every configuration times the identical shard count;
-  // resolving per trial would let trace-size jitter flip K mid-experiment.
-  std::vector<OverheadConfig> Resolved;
-  const std::vector<OverheadConfig> *Active = &Configs;
-  if (std::any_of(Configs.begin(), Configs.end(),
-                  [](const OverheadConfig &C) { return C.Setup.Shards == 0; })) {
-    Trace Probe = generateTrace(Workload, deriveTrialSeed(BaseSeed, 0));
-    const unsigned K = resolveShardCount(0, countTraceAccesses(Probe));
-    std::fprintf(stderr, "[shards] auto: K=%u (%llu accesses)\n", K,
-                 static_cast<unsigned long long>(countTraceAccesses(Probe)));
-    Resolved = Configs;
-    for (OverheadConfig &C : Resolved)
-      if (C.Setup.Shards == 0)
-        C.Setup.Shards = K;
-    Active = &Resolved;
-  }
-
   // One shared index per trial when every configuration replays the raw
   // trace at the same shard count: the build then happens once, outside
   // every timed region, matching how a long-lived analysis would amortize
@@ -44,8 +25,8 @@ pacer::measureOverheads(const CompiledWorkload &Workload,
   // handling inside runTrialOnTrace.
   unsigned SharedIndexShards = 0;
   {
-    bool Uniform = !Active->empty();
-    for (const OverheadConfig &C : *Active) {
+    bool Uniform = !Configs.empty();
+    for (const OverheadConfig &C : Configs) {
       const DetectorSetup &S = C.Setup;
       if (S.Shards <= 1 || !S.ShardUseIndex || S.ElideLocalAccesses ||
           (SharedIndexShards != 0 && S.Shards != SharedIndexShards)) {
@@ -76,8 +57,8 @@ pacer::measureOverheads(const CompiledWorkload &Workload,
           Index.emplace(TraceIndex::build(T, SharedIndexShards));
         TrialSeconds Out;
         Out.Events = T.size();
-        Out.PerConfig.reserve(Active->size());
-        for (const OverheadConfig &Config : *Active) {
+        Out.PerConfig.reserve(Configs.size());
+        for (const OverheadConfig &Config : Configs) {
           AnalysisRequest Request;
           Request.Setup = Config.Setup;
           Request.Seed = Seed;

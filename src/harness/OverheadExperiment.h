@@ -52,9 +52,8 @@ struct OverheadResult {
 /// across trials (each trial generates its trace once and times every
 /// configuration on it); keep Jobs = 1 when absolute wall-clock numbers
 /// matter, since concurrent trials contend for cores and inflate every
-/// configuration's time together. Configurations with Setup.Shards == 0
-/// ("auto") are resolved once, from a probe trace, so every trial times
-/// the same shard count; when all configurations shard identically over
+/// configuration's time together. Setup.Shards == 0 ("auto") replays
+/// sequentially, like 1; when all configurations shard identically over
 /// the raw trace, one TraceIndex per trial is built outside the timed
 /// regions and shared.
 std::vector<OverheadResult>

@@ -12,10 +12,8 @@
 #include "sim/TraceView.h"
 #include "sim/Workloads.h"
 #include "support/Error.h"
-#include "support/ThreadPool.h"
 
 #include <chrono>
-#include <cstdio>
 #include <optional>
 
 using namespace pacer;
@@ -235,16 +233,6 @@ void replaySpan(const CompiledWorkload &Workload,
     Out.SampleReports = Log.sampleReports();
 }
 
-void noteAutoShards(AnalysisResult &Out, unsigned Resolved,
-                    uint64_t Accesses) {
-  char Note[128];
-  std::snprintf(Note, sizeof(Note),
-                "auto-sharding: K=%u (%llu accesses, %u hardware jobs)\n",
-                Resolved, static_cast<unsigned long long>(Accesses),
-                hardwareJobs());
-  Out.Notes += Note;
-}
-
 } // namespace
 
 AnalysisResult AnalysisSession::analyzeGenerated() const {
@@ -274,13 +262,8 @@ AnalysisResult AnalysisSession::analyzeTrace(TraceSpan T,
   AnalysisResult Result;
   Result.TraceEvents = T.size();
 
-  const unsigned Shards =
-      Setup.Shards != 0
-          ? Setup.Shards
-          : resolveShardCount(0, Index ? Index->accessCount()
-                                       : countTraceAccesses(Replay));
-
-  replaySpan(Workload, Request, Replay, Shards, Index, Result);
+  replaySpan(Workload, Request, Replay, resolveShardCount(Setup.Shards, 0),
+             Index, Result);
   return Result;
 }
 
@@ -387,28 +370,20 @@ AnalysisSession::analyzeFileInMemory(const std::string &Path) const {
   }
   double LoadSeconds = secondsSince(LoadStart);
 
-  unsigned ResolvedShards = Request.Setup.Shards;
+  // Only an explicit multi-shard request builds an index; "auto" replays
+  // sequentially and never looks at the trace before the replay.
+  const unsigned Shards = resolveShardCount(Request.Setup.Shards, 0);
   TraceIndex Index;
   const TraceIndex *IndexPtr = nullptr;
-  auto IndexStart = Clock::now();
-  if (ResolvedShards == 0) {
-    TraceIndex::Builder Builder(1);
-    Builder.addChunk(T);
-    const uint64_t Accesses = Builder.accessCount();
-    ResolvedShards = resolveShardCount(0, Accesses);
-    noteAutoShards(Result, ResolvedShards, Accesses);
-  }
-  if (ResolvedShards > 1 && !Request.Setup.ElideLocalAccesses) {
-    Index = TraceIndex::build(T, ResolvedShards);
+  double IndexSeconds = 0;
+  if (Shards > 1 && !Request.Setup.ElideLocalAccesses) {
+    auto IndexStart = Clock::now();
+    Index = TraceIndex::build(T, Shards);
     IndexPtr = &Index;
+    IndexSeconds = secondsSince(IndexStart);
   }
-  double IndexSeconds = secondsSince(IndexStart);
 
-  AnalysisRequest Resolved = Request;
-  Resolved.Setup.Shards = ResolvedShards;
-  AnalysisResult Replayed =
-      AnalysisSession(Workload, Resolved).analyzeTrace(T, IndexPtr);
-  Replayed.Notes = Result.Notes + Replayed.Notes;
+  AnalysisResult Replayed = analyzeTrace(T, IndexPtr);
   Replayed.LoadSeconds = LoadSeconds;
   Replayed.IndexSeconds = IndexSeconds;
   return Replayed;
@@ -416,10 +391,10 @@ AnalysisSession::analyzeFileInMemory(const std::string &Path) const {
 
 AnalysisResult
 AnalysisSession::analyzeFileStreaming(const std::string &Path) const {
-  // Bounded-window mode: the trace is never materialized. Auto-shard
-  // resolution and the replay index come from extra bounded passes over
-  // the same reader; sharded replicas then need random access, which an
-  // mmap view provides for binary traces at zero copy. Text traces (no
+  // Bounded-window mode: the trace is never materialized. An explicit
+  // multi-shard request builds its replay index in an extra bounded pass
+  // over the same reader; sharded replicas then need random access, which
+  // an mmap view provides for binary traces at zero copy. Text traces (no
   // random access without parsing) stream sequentially.
   AnalysisResult Result;
   auto Fail = [&](const std::string &Why) {
@@ -435,23 +410,8 @@ AnalysisSession::analyzeFileStreaming(const std::string &Path) const {
 
   const size_t StreamWindow = Request.StreamWindow < 1 ? 1
                                                        : Request.StreamWindow;
-  unsigned ResolvedShards = Request.Setup.Shards;
-  double LoadSeconds = 0, IndexSeconds = 0;
-
-  if (ResolvedShards == 0) {
-    // Counting pass for auto-sharding, O(window) resident.
-    auto Start = Clock::now();
-    StreamingTraceReader Counter(Path, StreamWindow);
-    uint64_t Accesses = 0;
-    for (TraceSpan Chunk = Counter.next(); !Chunk.empty();
-         Chunk = Counter.next())
-      Accesses += countTraceAccesses(Chunk);
-    if (!Counter.ok())
-      return Fail(Counter.error());
-    IndexSeconds += secondsSince(Start);
-    ResolvedShards = resolveShardCount(0, Accesses);
-    noteAutoShards(Result, ResolvedShards, Accesses);
-  }
+  const unsigned ResolvedShards = resolveShardCount(Request.Setup.Shards, 0);
+  double LoadSeconds = 0;
 
   TraceView View; // Must outlive the replayed span.
   bool Sequential = ResolvedShards <= 1 || Request.Setup.ElideLocalAccesses;
@@ -488,7 +448,7 @@ AnalysisSession::analyzeFileStreaming(const std::string &Path) const {
     if (!Reader.ok())
       return Fail(Reader.error());
     TraceIndex Index = Builder.take();
-    IndexSeconds += secondsSince(Start);
+    const double IndexSeconds = secondsSince(Start);
 
     AnalysisResult Replayed;
     Replayed.Notes = std::move(Result.Notes);
@@ -508,6 +468,5 @@ AnalysisSession::analyzeFileStreaming(const std::string &Path) const {
   // Load is interleaved with analysis on the sequential streaming path.
   Replayed.ReplaySeconds = secondsSince(Start);
   Replayed.Notes = Result.Notes + Replayed.Notes;
-  Replayed.IndexSeconds = IndexSeconds;
   return Replayed;
 }

@@ -31,8 +31,8 @@
 /// session *is* the moved implementation). analyzeFile subsumes the read-
 /// path policy that previously lived in tools/racedetect: binary traces
 /// analyse from an mmap view, Stream mode keeps peak trace-resident
-/// memory at O(window) and auto-shard resolution runs as an extra bounded
-/// pass, text traces parse or stream line by line -- results are
+/// memory at O(window) (an explicit sharded replay indexes in an extra
+/// bounded pass), text traces parse or stream line by line -- results are
 /// bit-identical across every path for a given (Setup, Seed).
 ///
 /// This header also hosts DetectorKind / DetectorSetup / makeDetector and
@@ -103,9 +103,10 @@ struct DetectorSetup {
   SamplingConfig Sampling;
   /// Intra-trial sharded replay: partition data accesses across this many
   /// detector replicas by VarId modulo (see runtime/ShardedReplay.h). 1 is
-  /// plain sequential replay; 0 picks a count automatically from the
-  /// trace's access count and the hardware (runtime/TraceIndex.h's
-  /// autoShardCount). Results are bit-identical for every value.
+  /// plain sequential replay, and so is 0 ("auto"): the index and the
+  /// per-replica skeleton replay cost more than sharding saves end to end
+  /// (DESIGN.md §6d), so only an explicit K > 1 shards. Results are
+  /// bit-identical for every value.
   unsigned Shards = 1;
   /// Worker concurrency for sharded replay; 0 = one job per shard.
   unsigned ShardJobs = 0;
@@ -212,7 +213,7 @@ struct AnalysisResult {
   /// before printing for order-independent output.
   std::vector<RaceReport> SampleReports;
   /// The shard count the replay actually ran with (auto requests
-  /// resolved).
+  /// resolve to 1).
   unsigned ResolvedShards = 1;
   /// The clock-kernel ISA the dispatcher resolved for this analysis
   /// (kernels::activeIsa() at replay time): "avx512", "avx2", "sse2",
@@ -220,13 +221,13 @@ struct AnalysisResult {
   /// JSON.
   const char *Isa = "scalar";
 
-  /// analyzeFile timing split: trace load / view map, index build +
-  /// auto-shard counting, and replay. ReplaySeconds == AnalysisSeconds
+  /// analyzeFile timing split: trace load / view map, index build (0
+  /// unless Shards > 1), and replay. ReplaySeconds == AnalysisSeconds
   /// for file analyses.
   double LoadSeconds = 0.0;
   double IndexSeconds = 0.0;
-  /// Human-readable decisions taken on the way (auto-shard choice,
-  /// streaming fallbacks); one '\n'-terminated line each.
+  /// Human-readable decisions taken on the way (streaming fallbacks);
+  /// one '\n'-terminated line each.
   std::string Notes;
 
   /// The legacy TrialResult view of this result (exact field mapping; the

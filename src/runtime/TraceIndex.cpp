@@ -4,7 +4,6 @@
 
 #include "runtime/Runtime.h"
 #include "runtime/SamplingController.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
@@ -204,19 +203,11 @@ void TraceIndex::replayShard(TraceSpan T, uint32_t Shard, Detector &D,
   assert(!ShardLocal || Delivered == OwnedCounts[Shard]);
 }
 
-unsigned pacer::autoShardCount(uint64_t AccessCount, unsigned HardwareJobs) {
-  // Each replica pays for the full sync skeleton plus its own setup, so
-  // demand a meaningful slab of owned accesses per shard before splitting.
-  constexpr uint64_t MinOwnedAccessesPerShard = 32 * 1024;
-  const uint64_t ByWork = AccessCount / MinOwnedAccessesPerShard;
-  const uint64_t Cap = std::max(1u, HardwareJobs);
-  return static_cast<unsigned>(std::clamp<uint64_t>(ByWork, 1, Cap));
-}
-
-unsigned pacer::resolveShardCount(unsigned Requested, uint64_t AccessCount) {
-  if (Requested != 0)
-    return Requested;
-  return autoShardCount(AccessCount, hardwareJobs());
+unsigned pacer::resolveShardCount(unsigned Requested, uint64_t) {
+  // Auto is sequential replay: the index build plus per-replica skeleton
+  // replay cost more than a sharded replay saves at every measured trace
+  // size (DESIGN.md §6d); files parallelize across the batch instead.
+  return Requested != 0 ? Requested : 1;
 }
 
 unsigned pacer::parseShardCount(const std::string &Text) {

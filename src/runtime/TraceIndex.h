@@ -95,8 +95,8 @@ public:
   /// contiguous chunks (e.g. from a StreamingTraceReader's bounded
   /// window) and take() the finished index. build(T, K) is exactly
   /// Builder(K).addChunk(T).take(); the result is identical for every
-  /// chunking, so --shards=auto resolution and sharded replay can share
-  /// one bounded-memory pass over a trace file.
+  /// chunking, so a streamed trace file indexes in one bounded-memory
+  /// pass.
   class Builder; // Defined after the class (it holds a TraceIndex).
 
   unsigned shardCount() const { return Shards; }
@@ -143,8 +143,7 @@ private:
 /// contiguous chunks (e.g. from a StreamingTraceReader's bounded window)
 /// and take() the finished index. build(T, K) is exactly
 /// Builder(K).addChunk(T).take(); the result is identical for every
-/// chunking, so --shards=auto resolution and sharded replay can share one
-/// bounded-memory pass over a trace file.
+/// chunking.
 class TraceIndex::Builder {
 public:
   explicit Builder(unsigned Shards);
@@ -152,8 +151,7 @@ public:
   /// Appends \p Chunk (the actions at positions [pos, pos + size)).
   void addChunk(TraceSpan Chunk);
 
-  /// Accesses indexed so far (available before take(), for --shards=auto
-  /// resolution mid-stream).
+  /// Accesses indexed so far (available before take()).
   uint64_t accessCount() const { return Index.AccessTotal; }
 
   /// Closes the final epoch and yields the index. The builder is spent
@@ -167,13 +165,9 @@ private:
   uint32_t EpochBegin = 0;
 };
 
-/// Picks a shard count for a trace with \p AccessCount data accesses:
-/// one shard per ~32k accesses so replica setup and skeleton replay
-/// amortize, capped at \p HardwareJobs (never less than 1).
-unsigned autoShardCount(uint64_t AccessCount, unsigned HardwareJobs);
-
-/// Resolves a shard request where 0 means "auto" (pick from the trace's
-/// access count and hardwareJobs()); nonzero values pass through.
+/// Resolves a shard request where 0 means "auto". Auto is sequential
+/// replay (1): sharding never paid for its index end to end. Nonzero
+/// values pass through; \p AccessCount is unused.
 unsigned resolveShardCount(unsigned Requested, uint64_t AccessCount);
 
 /// Parses a --shards flag value: "auto" yields 0 (the auto sentinel);
@@ -181,7 +175,7 @@ unsigned resolveShardCount(unsigned Requested, uint64_t AccessCount);
 /// yields 1.
 unsigned parseShardCount(const std::string &Text);
 
-/// Counts the data accesses in \p T (the input to auto shard tuning).
+/// Counts the data accesses in \p T.
 uint64_t countTraceAccesses(TraceSpan T);
 
 } // namespace pacer

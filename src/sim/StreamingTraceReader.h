@@ -11,8 +11,8 @@
 /// from the reader holds O(window + detector metadata) memory regardless
 /// of trace size (Runtime::replayChunk makes any chunking bit-identical
 /// to an in-memory replay). The same single pass can feed a
-/// TraceIndex::Builder, which is how racedetect resolves --shards=auto
-/// without ever materializing the trace.
+/// TraceIndex::Builder, which is how racedetect --stream --shards=K
+/// indexes a trace without ever materializing it.
 ///
 /// Binary windows are bulk freads (a memcpy per window on matching ABIs);
 /// text windows parse line by line through TextTraceParser. A mid-stream

@@ -3,9 +3,12 @@
 #include "sim/TraceIO.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 using namespace pacer;
@@ -36,9 +39,9 @@ static const char *kindToken(ActionKind Kind) {
   return "?";
 }
 
-static bool tokenToKind(const std::string &Token, ActionKind &Kind) {
-  static const struct {
-    const char *Name;
+static bool tokenToKind(std::string_view Token, ActionKind &Kind) {
+  static constexpr struct {
+    std::string_view Name;
     ActionKind Kind;
   } Table[] = {
       {"rd", ActionKind::Read},          {"wr", ActionKind::Write},
@@ -220,12 +223,13 @@ bool checkBinaryHeader(const unsigned char *Header, size_t Len,
 
 namespace {
 
-/// Minimal whitespace tokenizer over one line.
+/// Minimal space-separated tokenizer over one line. Tokens are views
+/// into the line: nothing is copied.
 class LineLexer {
 public:
   LineLexer(const char *Begin, const char *End) : Pos(Begin), End(End) {}
 
-  bool next(std::string &Token) {
+  bool next(std::string_view &Token) {
     while (Pos < End && *Pos == ' ')
       ++Pos;
     if (Pos >= End)
@@ -233,7 +237,7 @@ public:
     const char *Start = Pos;
     while (Pos < End && *Pos != ' ')
       ++Pos;
-    Token.assign(Start, Pos - Start);
+    Token = std::string_view(Start, static_cast<size_t>(Pos - Start));
     return true;
   }
 
@@ -242,23 +246,23 @@ private:
   const char *End;
 };
 
-bool parseField(const std::string &Token, uint32_t &Value) {
+/// A field is "-" (InvalidId) or a decimal number that fits 32 bits. For
+/// an unsigned target, from_chars takes digits only (no sign, no space),
+/// and a value past UINT32_MAX is out of range.
+bool parseField(std::string_view Token, uint32_t &Value) {
   if (Token == "-") {
     Value = InvalidId;
     return true;
   }
-  if (Token.empty())
-    return false;
-  uint64_t Parsed = 0;
-  for (char C : Token) {
-    if (C < '0' || C > '9')
-      return false;
-    Parsed = Parsed * 10 + static_cast<uint64_t>(C - '0');
-    if (Parsed > UINT32_MAX)
-      return false;
-  }
-  Value = static_cast<uint32_t>(Parsed);
-  return true;
+  const char *End = Token.data() + Token.size();
+  const auto [Ptr, Ec] = std::from_chars(Token.data(), End, Value);
+  return Ec == std::errc() && Ptr == End;
+}
+
+/// The most actions \p Bytes of text can hold: each takes at least
+/// "rd 0 0 0" plus a newline.
+size_t maxActionsIn(uint64_t Bytes) {
+  return static_cast<size_t>(Bytes / 9 + 1);
 }
 
 } // namespace
@@ -273,7 +277,7 @@ bool TextTraceParser::parseLine(const char *Begin, const char *End,
                                 Trace &Out) {
   if (!SawHeader) {
     LineLexer Lexer(Begin, End);
-    std::string Magic, Version, Count;
+    std::string_view Magic, Version, Count;
     if (!Lexer.next(Magic) || Magic != "pacer-trace")
       return failLine("missing pacer-trace magic");
     if (!Lexer.next(Version) || Version != "v1")
@@ -281,12 +285,20 @@ bool TextTraceParser::parseLine(const char *Begin, const char *End,
     if (!Lexer.next(Count))
       return failLine("missing action count");
     SawHeader = true;
+    // The count is advisory (the reader checks actions, not the total),
+    // so an unparsable one only skips the reservation.
+    uint64_t Declared = 0;
+    const char *CountEnd = Count.data() + Count.size();
+    if (ReserveCap != 0 &&
+        std::from_chars(Count.data(), CountEnd, Declared).ptr == CountEnd)
+      Out.reserve(Out.size() + static_cast<size_t>(std::min<uint64_t>(
+                                   Declared, ReserveCap)));
     return true;
   }
   if (Begin == End)
     return true; // Blank line.
   LineLexer Lexer(Begin, End);
-  std::string KindToken, TidToken, TargetToken, SiteToken;
+  std::string_view KindToken, TidToken, TargetToken, SiteToken;
   if (!Lexer.next(KindToken) || !Lexer.next(TidToken) ||
       !Lexer.next(TargetToken) || !Lexer.next(SiteToken))
     return failLine("expected 4 fields");
@@ -300,7 +312,7 @@ bool TextTraceParser::parseLine(const char *Begin, const char *End,
     return failLine("bad target");
   if (!parseField(SiteToken, Site))
     return failLine("bad site");
-  std::string Extra;
+  std::string_view Extra;
   if (Lexer.next(Extra))
     return failLine("trailing tokens");
   const Action A{Kind, Tid, Target, Site};
@@ -360,7 +372,17 @@ bool TextTraceParser::finish(Trace &Out, size_t Max) {
 TraceParseResult pacer::parseTrace(const std::string &Text) {
   TraceParseResult Result;
   TextTraceParser Parser;
-  Parser.append(Text.data(), Text.size());
+  Parser.setReserveCap(maxActionsIn(Text.size()));
+  // Feed in slabs, as the file reader does: the parser's buffer stays
+  // small and cache-resident instead of duplicating the whole text.
+  constexpr size_t Slab = 64u << 10;
+  for (size_t Off = 0; Off < Text.size(); Off += Slab) {
+    Parser.append(Text.data() + Off, std::min(Slab, Text.size() - Off));
+    if (!Parser.drain(Result.T, SIZE_MAX)) {
+      Result.Error = Parser.error();
+      return Result;
+    }
+  }
   if (!Parser.finish(Result.T, SIZE_MAX)) {
     Result.Error = Parser.error();
     return Result;
@@ -570,6 +592,13 @@ TraceParseResult readTextTraceFile(const std::string &Path,
                                    std::FILE *File) {
   TraceParseResult Result;
   TextTraceParser Parser;
+  // The file's size bounds the reservation its header may ask for.
+  if (std::fseek(File, 0, SEEK_END) == 0) {
+    const long Size = std::ftell(File);
+    if (Size > 0)
+      Parser.setReserveCap(maxActionsIn(static_cast<uint64_t>(Size)));
+    std::rewind(File);
+  }
   char Buf[1 << 16];
   size_t Got;
   while ((Got = std::fread(Buf, 1, sizeof(Buf), File)) > 0) {

@@ -141,6 +141,12 @@ public:
   /// True once the header line has parsed (actions may follow).
   bool headerSeen() const { return SawHeader; }
 
+  /// When the header parses, reserve room in the output for its declared
+  /// action count, but for no more than \p MaxActions: what the whole
+  /// input can hold, so a hostile count cannot force a huge allocation.
+  /// 0, the default, never reserves (bounded-window readers).
+  void setReserveCap(size_t MaxActions) { ReserveCap = MaxActions; }
+
   /// Empty until a parse error; then "line N: why".
   const std::string &error() const { return Error; }
 
@@ -151,6 +157,7 @@ private:
   std::string Buf;
   size_t Pos = 0; ///< Scan position within Buf.
   size_t LineNo = 0;
+  size_t ReserveCap = 0;
   bool SawHeader = false;
   bool Finished = false;
   bool Failed = false;

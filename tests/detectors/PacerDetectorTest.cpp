@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 using namespace pacer;
@@ -429,6 +431,137 @@ TEST_F(PacerDetectorTest, PresenceBitSetExactlyWhenVariableTracked) {
     checkPresenceBitmapInvariant(/*Accordion=*/false, Seed);
     checkPresenceBitmapInvariant(/*Accordion=*/true, Seed);
   }
+}
+
+/// Sum of payload bytes over the distinct clock payloads thread 0 and
+/// locks [0, Locks) hold: what liveMetadataBytes must charge for them,
+/// each shared payload once.
+size_t distinctPayloadBytes(const PacerDetector &D, LockId Locks) {
+  std::unordered_set<const void *> Seen;
+  size_t Bytes = 0;
+  auto Add = [&](const void *Key, const VectorClock &Clock) {
+    if (Seen.insert(Key).second)
+      Bytes += sizeof(ClockPayload) + Clock.heapBytes();
+  };
+  Add(D.threadClockKeyForTest(0), D.threadClockForTest(0));
+  for (LockId Lock = 0; Lock != Locks; ++Lock)
+    Add(D.lockClockKeyForTest(Lock), *D.lockClockForTest(Lock));
+  return Bytes;
+}
+
+/// One thread acquires and releases locks [0, Locks) in order; \p Sampled
+/// decides, per lock, whether its release falls in a sampling period (a
+/// deep copy into a private payload) or not (a shallow copy sharing the
+/// thread's payload).
+template <typename SampledFn>
+void releaseEachLock(PacerDetector &D, LockId Locks, SampledFn Sampled) {
+  D.threadBegin(0);
+  for (LockId Lock = 0; Lock != Locks; ++Lock) {
+    if (Sampled(Lock) != D.isSampling()) {
+      if (D.isSampling())
+        D.endSamplingPeriod();
+      else
+        D.beginSamplingPeriod();
+    }
+    D.acquire(0, Lock);
+    D.release(0, Lock);
+  }
+  if (D.isSampling())
+    D.endSamplingPeriod();
+}
+
+TEST_F(PacerDetectorTest, ManyLockPayloadsChargedOnceEach) {
+  // 2^18 locks: far past where deduplicating payloads by a linear search
+  // per lock stops finishing in test time.
+  constexpr LockId Locks = LockId(1) << 18;
+  CollectingSink SinkAll, SinkNone, SinkMixed;
+  PacerDetector AllShared(SinkNone), AllPrivate(SinkAll), Mixed(SinkMixed);
+  releaseEachLock(AllShared, Locks, [](LockId) { return false; });
+  releaseEachLock(AllPrivate, Locks, [](LockId) { return true; });
+  // Alternating stretches: each unsampled stretch shares one payload.
+  releaseEachLock(Mixed, Locks, [](LockId L) { return (L / 1000) % 2 == 0; });
+
+  // The three runs differ only in how payloads are shared, so their
+  // charges differ by exactly their distinct-payload sums (plus thread
+  // 0's version vector, which sampling grows).
+  auto Expected = [&](const PacerDetector &D) {
+    return distinctPayloadBytes(D, Locks) +
+           D.threadVersionsForTest(0).heapBytes();
+  };
+  const size_t SharedBytes = AllShared.liveMetadataBytes();
+  for (const PacerDetector *D : {&AllPrivate, &Mixed})
+    EXPECT_EQ(D->liveMetadataBytes() - SharedBytes,
+              Expected(*D) - Expected(AllShared));
+  // The scenario shares what it claims to.
+  EXPECT_EQ(distinctPayloadBytes(AllShared, Locks), sizeof(ClockPayload));
+  EXPECT_EQ(distinctPayloadBytes(AllPrivate, Locks),
+            (Locks + 1) * sizeof(ClockPayload));
+}
+
+TEST_F(PacerDetectorTest, CompactionRenumbersEachOfManyPayloadsOnce) {
+  // Slots 1..18 die, slot 19 survives and moves to slot 1. Compacting a
+  // payload twice would move its slot-19 component off the clock; skipping
+  // one would leave it at 19.
+  constexpr LockId Locks = LockId(1) << 17;
+  constexpr ThreadId Survivor = 19;
+  constexpr LockId Handoff = Locks; // Past the locks under test.
+  PacerConfig Config;
+  Config.UseAccordionClocks = true;
+  PacerDetector Acc(Sink, Config);
+  Acc.threadBegin(0);
+  Acc.beginSamplingPeriod();
+  for (ThreadId Child = 1; Child <= Survivor; ++Child)
+    Acc.fork(0, Child);
+
+  // Locks alternate between thread 0 and the survivor; sampled stretches
+  // give private payloads, unsampled ones share a thread's payload.
+  for (LockId Lock = 0; Lock != Locks; ++Lock) {
+    if (((Lock / 512) % 2 == 0) != Acc.isSampling()) {
+      if (Acc.isSampling())
+        Acc.endSamplingPeriod();
+      else
+        Acc.beginSamplingPeriod();
+    }
+    const ThreadId Tid = Lock % 2 == 0 ? 0 : Survivor;
+    Acc.acquire(Tid, Lock);
+    Acc.release(Tid, Lock);
+  }
+  if (!Acc.isSampling())
+    Acc.beginSamplingPeriod();
+
+  // The others die; the survivor learns their final clocks through 0.
+  for (ThreadId Child = 1; Child < Survivor; ++Child) {
+    Acc.threadExit(Child);
+    Acc.join(0, Child);
+  }
+  Acc.acquire(0, Handoff);
+  Acc.release(0, Handoff);
+  Acc.acquire(Survivor, Handoff);
+  Acc.release(Survivor, Handoff);
+
+  ASSERT_EQ(Acc.slotCount(), Survivor + 1);
+  std::vector<std::pair<uint32_t, uint32_t>> Before(Locks);
+  size_t SurvivorComponents = 0;
+  for (LockId Lock = 0; Lock != Locks; ++Lock) {
+    const VectorClock &C = *Acc.lockClockForTest(Lock);
+    Before[Lock] = {C.get(0), C.get(Survivor)};
+    SurvivorComponents += C.get(Survivor) != 0;
+  }
+  ASSERT_GT(SurvivorComponents, Locks / 4);
+
+  EXPECT_EQ(Acc.recycleDeadSlots(), Survivor - 1);
+  ASSERT_EQ(Acc.slotCount(), 2u);
+  for (LockId Lock = 0; Lock != Locks; ++Lock) {
+    const VectorClock &C = *Acc.lockClockForTest(Lock);
+    ASSERT_EQ(C.get(0), Before[Lock].first) << "lock " << Lock;
+    ASSERT_EQ(C.get(1), Before[Lock].second) << "lock " << Lock;
+    for (ThreadId Slot = 2; Slot <= Survivor; ++Slot)
+      ASSERT_EQ(C.get(Slot), 0u) << "lock " << Lock << " slot " << Slot;
+  }
+  // Still a working detector: unordered writes by the two threads race.
+  Acc.write(0, 5, 50);
+  Acc.write(Survivor, 5, 51);
+  EXPECT_EQ(Sink.size(), 1u);
 }
 
 } // namespace

@@ -72,6 +72,21 @@ void expectSameAnalysis(const AnalysisResult &A, const AnalysisResult &B,
       << What;
 }
 
+/// Equality on everything the analysis computes, reports in order: what
+/// two runs of the same sequential replay must share.
+void expectBitIdentical(const AnalysisResult &A, const AnalysisResult &B,
+                        const std::string &What) {
+  expectSameAnalysis(A, B, What);
+  EXPECT_EQ(A.FinalMetadataBytes, B.FinalMetadataBytes) << What;
+  EXPECT_EQ(A.PeakSlotCount, B.PeakSlotCount) << What;
+  EXPECT_EQ(A.HotAccesses, B.HotAccesses) << What;
+  EXPECT_EQ(A.ColdAccesses, B.ColdAccesses) << What;
+  ASSERT_EQ(A.SampleReports.size(), B.SampleReports.size()) << What;
+  for (size_t I = 0; I != A.SampleReports.size(); ++I)
+    EXPECT_EQ(A.SampleReports[I].str(), B.SampleReports[I].str())
+        << What << " report " << I;
+}
+
 /// Every detector kind, with PACER configured to cross many sampling
 /// periods on the tiny workload.
 std::vector<std::pair<std::string, DetectorSetup>> detectorMatrix() {
@@ -194,13 +209,42 @@ TEST(AnalysisSessionTest, ShardCountsAgreeAndAutoResolves) {
   EXPECT_EQ(Sequential.ResolvedShards, 1u);
   EXPECT_EQ(Sharded.ResolvedShards, 4u);
 
-  // Auto shards (Shards = 0) resolve to a concrete count.
+  // Auto shards (Shards = 0) replay sequentially: one shard, no index,
+  // and the very same result as Shards = 1 on every input path.
   AnalysisResult Auto =
       AnalysisSession(Workload, requestFor(Setup, 0, Seed, true))
           .analyzeTrace(T);
-  ASSERT_TRUE(Auto.Ok) << Auto.Error;
-  EXPECT_GE(Auto.ResolvedShards, 1u);
-  expectSameAnalysis(Sequential, Auto, "K=1 vs auto");
+  EXPECT_EQ(Auto.ResolvedShards, 1u);
+  expectBitIdentical(Sequential, Auto, "K=1 vs auto");
+
+  const std::string Binary =
+      ::testing::TempDir() + "/pacer_session_auto.btrace";
+  const std::string Text = ::testing::TempDir() + "/pacer_session_auto.trace";
+  ASSERT_TRUE(writeTraceFileBinary(Binary, T));
+  ASSERT_TRUE(writeTraceFile(Text, T));
+  for (const auto &[Name, Each] : detectorMatrix()) {
+    for (const std::string &Path : {Binary, Text}) {
+      for (bool Stream : {false, true}) {
+        const std::string What =
+            Name + " " + Path + (Stream ? " streamed" : " in memory");
+        AnalysisRequest One = requestFor(Each, 1, Seed, true);
+        One.Stream = Stream;
+        One.StreamWindow = 700;
+        AnalysisRequest Zero = One;
+        Zero.Setup.Shards = 0;
+        AnalysisResult FromOne =
+            AnalysisSession(Workload, One).analyzeFile(Path);
+        AnalysisResult FromAuto =
+            AnalysisSession(Workload, Zero).analyzeFile(Path);
+        EXPECT_EQ(FromAuto.ResolvedShards, 1u) << What;
+        EXPECT_EQ(FromAuto.IndexSeconds, 0.0) << What;
+        EXPECT_TRUE(FromAuto.Notes.empty()) << What << ": " << FromAuto.Notes;
+        expectBitIdentical(FromOne, FromAuto, What);
+      }
+    }
+  }
+  std::remove(Binary.c_str());
+  std::remove(Text.c_str());
 }
 
 TEST(AnalysisSessionTest, RepeatedCallsAreIndependentAndDeterministic) {

@@ -232,15 +232,6 @@ TEST(TraceIndexTest, BulkControllerAdvanceMatchesPerActionLoop) {
   expectBulkAdvanceMatchesLoop(Config, /*Seed=*/15);
 }
 
-TEST(TraceIndexTest, AutoShardCountScalesWithAccessesAndCaps) {
-  EXPECT_EQ(autoShardCount(/*AccessCount=*/0, /*HardwareJobs=*/8), 1u);
-  EXPECT_EQ(autoShardCount(32 * 1024 - 1, 8), 1u);
-  EXPECT_EQ(autoShardCount(2 * 32 * 1024, 8), 2u);
-  EXPECT_EQ(autoShardCount(4 * 32 * 1024, 8), 4u);
-  EXPECT_EQ(autoShardCount(1000 * 32 * 1024, 8), 8u); // Hardware cap.
-  EXPECT_EQ(autoShardCount(1000 * 32 * 1024, 0), 1u); // Degenerate cap.
-}
-
 TEST(TraceIndexTest, ParseAndResolveShardCount) {
   EXPECT_EQ(parseShardCount("auto"), 0u);
   EXPECT_EQ(parseShardCount("4"), 4u);
@@ -253,8 +244,7 @@ TEST(TraceIndexTest, ParseAndResolveShardCount) {
 
   EXPECT_EQ(resolveShardCount(5, /*AccessCount=*/0), 5u);
   EXPECT_EQ(resolveShardCount(1, 1 << 30), 1u);
-  // Auto resolution delegates to autoShardCount(hardwareJobs()); at least
-  // one shard always.
-  EXPECT_GE(resolveShardCount(0, 0), 1u);
-  EXPECT_GE(resolveShardCount(0, 1 << 30), 1u);
+  // Auto is sequential replay whatever the trace size.
+  EXPECT_EQ(resolveShardCount(0, 0), 1u);
+  EXPECT_EQ(resolveShardCount(0, 1 << 30), 1u);
 }

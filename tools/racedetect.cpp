@@ -3,12 +3,13 @@
 // A small driver around the library for downstream use without writing
 // C++: generate workload traces to files, analyse trace files with any of
 // the detectors, or submit trace files to a running racedetectd fleet
-// daemon. Several trace files can be analysed in one run; with --jobs=N
-// the files are processed concurrently (output stays in argument order),
-// and --shards=K splits each replay across K detector replicas with
-// bit-identical results. --shards=auto picks K per trace from its access
-// count and the hardware; batch runs (more than one trace file) default
-// to auto, single-file runs to 1.
+// daemon. Several trace files can be analysed in one run; they are
+// processed concurrently, one job per file up to the hardware's CPUs by
+// default (--jobs=N overrides), and output stays in argument order.
+// Each trace replays sequentially by default; --shards=K splits each
+// replay across K detector replicas with bit-identical results, but its
+// replay index costs more than it saves end to end, so parallelism comes
+// from the files instead. --shards=auto is the same as 1.
 //
 // All analysis goes through runtime/AnalysisSession.h -- this tool is a
 // thin printer over AnalysisResult. Traces come in two formats (see
@@ -81,10 +82,12 @@ OptionRegistry buildRegistry() {
       .addInt("stream-window",
               static_cast<int64_t>(StreamingTraceReader::DefaultWindowActions),
               "streaming window size in actions")
-      .addInt("jobs", 1, "analyse this many trace files concurrently")
-      .addString("shards", "",
-                 "variable shards per trace replay: a count or 'auto' "
-                 "(empty = auto for multi-file batches, 1 otherwise)")
+      .addInt("jobs", 0,
+              "analyse this many trace files concurrently (0 = one per "
+              "file, up to the hardware's CPUs)")
+      .addString("shards", "1",
+                 "variable shards per trace replay: a count; 'auto' = 1 "
+                 "(sequential replay)")
       .addFlag("pin-threads",
                "pin pool workers to CPUs (also PACER_PIN_THREADS=1); "
                "best-effort, no-op where unsupported")
@@ -424,13 +427,13 @@ int main(int Argc, char **Argv) {
   bool WantStats = R.getBool("stats");
   bool WantTimes = R.getBool("times");
   int64_t WindowFlag = R.getInt("stream-window");
-  int64_t JobsFlag = R.getInt("jobs");
-  unsigned Jobs = JobsFlag < 1 ? 1u : static_cast<unsigned>(JobsFlag);
-  // Empty --shards defaults to auto-tuning for multi-file batches (where
-  // per-trace tuning pays off) and plain sequential replay for one file.
-  const std::string ShardsText = R.getString("shards");
-  Setup.Shards = ShardsText.empty() ? (Files.size() > 1 ? 0u : 1u)
-                                    : parseShardCount(ShardsText);
+  // Batches parallelize across files, not within a replay.
+  const int64_t JobsFlag = R.getInt("jobs");
+  const unsigned Jobs =
+      JobsFlag >= 1 ? static_cast<unsigned>(JobsFlag)
+                    : static_cast<unsigned>(std::min<size_t>(
+                          Files.size(), hardwareJobs()));
+  Setup.Shards = parseShardCount(R.getString("shards"));
   if (R.getBool("pin-threads"))
     setThreadPinning(true);
   if (threadPinningEnabled())

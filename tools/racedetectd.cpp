@@ -65,7 +65,7 @@ OptionRegistry buildRegistry() {
       .addFlag("accordion", "accordion thread-slot recycling")
       .addInt("seed", 1, "seed for sampling decisions (fleet-wide)")
       .addString("shards", "1",
-                 "shards per submission replay: a count or 'auto'")
+                 "shards per submission replay: a count; 'auto' = 1")
       .addInt("stream-window",
               static_cast<int64_t>(StreamingTraceReader::DefaultWindowActions),
               "streaming window per replay, in actions")
