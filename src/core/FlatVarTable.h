@@ -150,6 +150,14 @@ public:
         Fn(Slots[I].Key, Slots[I].Value);
   }
 
+  /// Invokes Fn(KeyT, ValueT &) for every live entry, in slot order. Fn
+  /// may change the visited value but must not insert or erase.
+  template <typename FnT> void forEach(FnT Fn) {
+    for (size_t I = 0; I < Capacity; ++I)
+      if (isLiveSlot(Slots[I]))
+        Fn(Slots[I].Key, Slots[I].Value);
+  }
+
   /// Invokes Fn(KeyT, ValueT &) for every live entry; entries for which
   /// Fn returns true are erased. Safe against mutation of the visited
   /// value; must not insert during iteration.

@@ -4,12 +4,6 @@
 
 using namespace pacer;
 
-GenericDetector::VarState &GenericDetector::ensureVar(VarId Var) {
-  if (Var >= Vars.size())
-    Vars.resize(Var + 1);
-  return Vars[Var];
-}
-
 void GenericDetector::checkClockOrdered(const VectorClock &Prior,
                                         const SiteVector &PriorSites,
                                         AccessKind PriorKind,
@@ -107,18 +101,18 @@ size_t GenericDetector::recycleDeadSlots() {
       [this](ThreadId Slot) {
         // Zero the reclaimed slot in every access vector: its components
         // are dominated by all live threads and can never race again.
-        for (VarState &State : Vars) {
+        Vars.forEach([Slot](VarId, VarState &State) {
           // Sites are recorded only alongside a nonzero clock component,
           // so variables the slot never touched need no scrubbing.
           if (State.R.get(Slot) == 0 && State.W.get(Slot) == 0)
-            continue;
+            return;
           State.R.set(Slot, 0);
           State.W.set(Slot, 0);
           if (Slot < State.RSites.size())
             State.RSites[Slot] = InvalidId;
           if (Slot < State.WSites.size())
             State.WSites[Slot] = InvalidId;
-        }
+        });
       },
       [this](const SlotRemap &Remap) {
         const uint32_t NewCount = Remap.newCount();
@@ -138,27 +132,27 @@ size_t GenericDetector::recycleDeadSlots() {
           if (Sites.capacity() > 2 * Sites.size())
             Sites.shrink_to_fit();
         };
-        for (VarState &State : Vars) {
+        Vars.forEach([&](VarId, VarState &State) {
           State.R.compactSlots(NewToOld, NewCount);
           State.W.compactSlots(NewToOld, NewCount);
           CompactSites(State.RSites);
           CompactSites(State.WSites);
-        }
+        });
       });
 }
 
 size_t GenericDetector::accessMetadataBytes() const {
+  // Charged per entry, not per table slot, so the live set partitions
+  // exactly across shards. Entries whose clocks compaction emptied are
+  // not charged.
   size_t Bytes = 0;
-  for (const VarState &State : Vars) {
-    // Skip untracked slots (dense-vector holes): an accessed variable
-    // always records a nonzero read or write component, so the live set
-    // partitions exactly across shards.
+  Vars.forEach([&](VarId, const VarState &State) {
     if (State.R.size() == 0 && State.W.size() == 0)
-      continue;
+      return;
     Bytes += sizeof(State) + State.R.heapBytes() + State.W.heapBytes() +
              State.RSites.capacity() * sizeof(SiteId) +
              State.WSites.capacity() * sizeof(SiteId);
-  }
+  });
   return Bytes;
 }
 

@@ -22,6 +22,7 @@
 #ifndef PACER_DETECTORS_GENERICDETECTOR_H
 #define PACER_DETECTORS_GENERICDETECTOR_H
 
+#include "core/FlatVarTable.h"
 #include "core/VectorClock.h"
 #include "detectors/Detector.h"
 #include "detectors/SyncState.h"
@@ -112,6 +113,9 @@ public:
   size_t liveMetadataBytes() const override;
   size_t accessMetadataBytes() const override;
 
+  /// Variables holding access history.
+  size_t trackedVariableCount() const { return Vars.size(); }
+
   /// Test hook: the current clock of \p Tid.
   const VectorClock &threadClock(ThreadId Tid) {
     return Sync.ensureThread(Sync.slotOf(Tid));
@@ -131,7 +135,9 @@ private:
     SiteVector WSites;
   };
 
-  VarState &ensureVar(VarId Var);
+  /// The state of \p Var, created on its first access. The reference is
+  /// invalidated by the next ensureVar.
+  VarState &ensureVar(VarId Var) { return Vars.getOrInsert(Var); }
 
   /// Algorithm bodies with the arena scope open and \p Tid already
   /// resolved to a slot with its clock -- the batch loop hoists that
@@ -158,7 +164,9 @@ private:
 
   GenericConfig Config;
   SyncState Sync;
-  std::vector<VarState, ArenaAllocator<VarState>> Vars;
+  /// Accessed variables only, keyed by id: the state scales with the
+  /// number of variables a trace touches, not with its largest id.
+  FlatVarTable<VarState> Vars;
 };
 
 } // namespace pacer

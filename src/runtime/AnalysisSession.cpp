@@ -211,8 +211,13 @@ void replaySpan(const CompiledWorkload &Workload,
 
   Runtime RT(*D, Controller.get(), Setup.SyncBatching);
   auto Start = Clock::now();
-  RT.replay(Replay);
+  const BadRecord Bad = RT.replay(Replay);
   Out.ReplaySeconds = secondsSince(Start);
+  if (Bad) {
+    Out.Ok = false;
+    Out.Error =
+        std::string(Bad.Why) + " in record " + std::to_string(Bad.Index);
+  }
 
   Out.Races = Log.counts();
   Out.DynamicRaces = Log.dynamicCount();
@@ -340,7 +345,13 @@ AnalysisResult AnalysisSession::analyzeFile(const std::string &Path) const {
 AnalysisResult
 AnalysisSession::analyzeFileInMemory(const std::string &Path) const {
   // In-memory mode: binary traces analyse from an mmap view (zero-copy
-  // where the platform allows); text traces parse into a Trace.
+  // where the platform allows); text traces parse into a Trace. The
+  // sequential replay checks each record as it reaches it, so a binary
+  // trace that it replays unfiltered is mapped with only its framing
+  // checked and is read from memory once; the replay's stop becomes the
+  // same "<path>: <why> in record <N>" failure the view would report.
+  // The elision filter and the sharded engines read records unchecked,
+  // so they get a view that checked every record first.
   AnalysisResult Result;
   auto Fail = [&](const std::string &Why) {
     Result.Ok = false;
@@ -353,12 +364,18 @@ AnalysisSession::analyzeFileInMemory(const std::string &Path) const {
   if (!detectTraceFileFormat(Path, Format, DetectError))
     return Fail(DetectError);
 
+  // Only an explicit multi-shard request builds an index; "auto" replays
+  // sequentially and never looks at the trace before the replay.
+  const unsigned Shards = resolveShardCount(Request.Setup.Shards, 0);
+  const bool ReplayChecks = Shards <= 1 && !Request.Setup.ElideLocalAccesses;
+
   TraceView View;
   TraceParseResult Parsed;
   TraceSpan T;
   auto LoadStart = Clock::now();
   if (Format == TraceFormat::Binary) {
-    View = TraceView::open(Path);
+    View = ReplayChecks ? TraceView::openUnchecked(Path)
+                        : TraceView::open(Path);
     if (!View.ok())
       return Fail(View.error());
     T = View.actions();
@@ -370,9 +387,6 @@ AnalysisSession::analyzeFileInMemory(const std::string &Path) const {
   }
   double LoadSeconds = secondsSince(LoadStart);
 
-  // Only an explicit multi-shard request builds an index; "auto" replays
-  // sequentially and never looks at the trace before the replay.
-  const unsigned Shards = resolveShardCount(Request.Setup.Shards, 0);
   TraceIndex Index;
   const TraceIndex *IndexPtr = nullptr;
   double IndexSeconds = 0;
@@ -384,6 +398,8 @@ AnalysisSession::analyzeFileInMemory(const std::string &Path) const {
   }
 
   AnalysisResult Replayed = analyzeTrace(T, IndexPtr);
+  if (!Replayed.Ok)
+    Replayed.Error = Path + ": " + Replayed.Error;
   Replayed.LoadSeconds = LoadSeconds;
   Replayed.IndexSeconds = IndexSeconds;
   return Replayed;

@@ -30,9 +30,10 @@
 /// compatibility wrappers over a session; results are bit-identical (the
 /// session *is* the moved implementation). analyzeFile subsumes the read-
 /// path policy that previously lived in tools/racedetect: binary traces
-/// analyse from an mmap view, Stream mode keeps peak trace-resident
-/// memory at O(window) (an explicit sharded replay indexes in an extra
-/// bounded pass), text traces parse or stream line by line -- results are
+/// analyse from an mmap view (whose records the sequential replay checks
+/// in its own scan), Stream mode keeps peak trace-resident memory at
+/// O(window) (an explicit sharded replay indexes in an extra bounded
+/// pass), text traces parse or stream line by line -- results are
 /// bit-identical across every path for a given (Setup, Seed).
 ///
 /// This header also hosts DetectorKind / DetectorSetup / makeDetector and
@@ -223,7 +224,8 @@ struct AnalysisResult {
 
   /// analyzeFile timing split: trace load / view map, index build (0
   /// unless Shards > 1), and replay. ReplaySeconds == AnalysisSeconds
-  /// for file analyses.
+  /// for file analyses; it includes the record check of a binary file
+  /// that the sequential replay checks itself.
   double LoadSeconds = 0.0;
   double IndexSeconds = 0.0;
   /// Human-readable decisions taken on the way (streaming fallbacks);
@@ -259,7 +261,12 @@ public:
   /// runTrialOnTrace). \p Index, when non-null, must describe \p T; it is
   /// reused when its shard count matches the resolved Setup.Shards and
   /// ignored otherwise (and always ignored under ElideLocalAccesses,
-  /// which replays a filtered trace).
+  /// which replays a filtered trace). The sequential replay checks each
+  /// record as it reaches it: on a bad one the result is Ok = false with
+  /// "<why> in record <N>" (N counts replayed records), covering the
+  /// prefix before it. Sharded replay and ElideLocalAccesses read records
+  /// unchecked and need a span whose records were checked on load
+  /// (TraceView::open, readTraceFile).
   AnalysisResult analyzeTrace(TraceSpan T,
                               const TraceIndex *Index = nullptr) const;
 
@@ -273,7 +280,11 @@ public:
   /// memory at O(window) (see AnalysisRequest::Stream). Malformed or
   /// truncated files -- including every corruption the binary-v2
   /// validators reject -- surface as Ok = false with a diagnostic, never
-  /// as a crash, so callers may feed untrusted bytes.
+  /// as a crash, so callers may feed untrusted bytes. A binary file that
+  /// replays sequentially and unfiltered is mapped with only its framing
+  /// checked, and its records are checked by the replay itself (see
+  /// runtime/Runtime.h); the diagnostic is the one TraceView::open gives.
+  /// Its record check therefore counts in ReplaySeconds, not LoadSeconds.
   AnalysisResult analyzeFile(const std::string &Path) const;
 
 private:

@@ -19,6 +19,15 @@
 /// event order. Experiments that need to interleave their own probing (the
 /// Figure 10 space experiment) drive step() directly.
 ///
+/// The replay also checks the trace: every record passes
+/// checkActionRecord (sim/TraceIO.h) before any hook sees it or its
+/// thread, and replay() stops in front of the first record that fails.
+/// The check lives inside the replay's own scan -- an access run ORs its
+/// ids and compares once, other actions are checked one by one -- so a
+/// mapped trace opened with TraceView::openUnchecked is read from memory
+/// once. A separate checking pass before the replay reads every record
+/// twice and costs more than the replay's check does.
+///
 /// The runtime also tracks first sight of each thread and delivers
 /// Detector::threadBegin() before a thread's first action, so per-thread
 /// detector state materializes at a point that is a pure function of the
@@ -33,6 +42,7 @@
 #include "detectors/Detector.h"
 #include "runtime/SamplingController.h"
 #include "sim/Action.h"
+#include "sim/TraceIO.h"
 
 #include <vector>
 
@@ -60,7 +70,8 @@ public:
 
   /// Processes one action: thread first-sight, sampling control, then
   /// dispatch. Returns true if a simulated GC boundary fired at this
-  /// action.
+  /// action. Unlike replay(), step() does not check \p A: its callers
+  /// build their actions themselves.
   bool step(const Action &A) {
     if (firstSight(A.Tid))
       D.threadBegin(A.Tid);
@@ -72,14 +83,17 @@ public:
 
   /// Replays a whole trace through batched epoch dispatch. The detector
   /// observes the same hook sequence as a step() loop, with runs of
-  /// consecutive data accesses folded into accessBatch() calls.
-  void replay(TraceSpan T) { replay(T, AccessShard::all()); }
+  /// consecutive data accesses folded into accessBatch() calls. Returns
+  /// the first record that fails checkActionRecord, if any: the replay
+  /// stopped in front of it, and no hook saw it or anything after it.
+  /// Callers whose trace was checked on load may ignore the result.
+  BadRecord replay(TraceSpan T) { return replay(T, AccessShard::all()); }
 
   /// Shard-filtered replay: every synchronization and lifecycle action is
   /// processed, but only data accesses owned by \p Shard are analysed.
-  void replay(TraceSpan T, const AccessShard &Shard) {
+  BadRecord replay(TraceSpan T, const AccessShard &Shard) {
     start();
-    replayChunk(T, Shard);
+    return replayChunk(T, Shard);
   }
 
   /// Incremental replay: processes one contiguous chunk of the trace,
@@ -101,18 +115,27 @@ public:
   /// the per-action hook order: batch flushes before a threadBegin or
   /// toggle at the same position, threadBegin before the toggle, and the
   /// boundary-firing access delivered after the toggle.
-  void replayChunk(TraceSpan T, const AccessShard &Shard) {
+  ///
+  /// Each record is checked as the scan reaches it (see the file
+  /// comment). On a bad record the chunk's valid prefix has been
+  /// delivered and the result names the bad record's index within \p T;
+  /// the caller should not feed further chunks.
+  BadRecord replayChunk(TraceSpan T, const AccessShard &Shard) {
     const size_t N = T.size();
     size_t I = 0;
     while (I < N) {
       const Action &A = T[I];
       if (!isAccessAction(A.Kind)) {
+        if (const char *Why = checkActionRecord(A))
+          return {I, Why};
         if (firstSight(A.Tid))
           D.threadBegin(A.Tid);
         if (SyncBatching && A.Kind == ActionKind::Acquire) {
           // Maximal run of same-thread acquire/release pairs on one lock:
           // the sync skeleton's dominant shape (tight critical-section
           // loops), collapsed by Detector::syncBatch to O(1) per run.
+          // Every member has a valid kind and A's checked lock id, so the
+          // run needs no check of its own.
           size_t J = I;
           while (J + 1 < N && T[J].Kind == ActionKind::Acquire &&
                  T[J + 1].Kind == ActionKind::Release && T[J].Tid == A.Tid &&
@@ -133,15 +156,27 @@ public:
         continue;
       }
       // Maximal access run [I, RunEnd); mark first sights while scanning
-      // (positions are split points inside the run).
+      // (positions are split points inside the run). An access's only
+      // checkable field is its variable id, and MaxActionObjectId is all
+      // ones below bit 24, so OR-ing the run's ids checks every one of
+      // them with a single compare after the scan.
       FirstSights.clear();
       size_t RunEnd = I;
-      for (; RunEnd < N && isAccessAction(T[RunEnd].Kind); ++RunEnd)
+      uint32_t Ids = 0;
+      for (; RunEnd < N && isAccessAction(T[RunEnd].Kind); ++RunEnd) {
+        Ids |= T[RunEnd].Target;
         if (firstSight(T[RunEnd].Tid))
           FirstSights.push_back(RunEnd);
+      }
+      if (Ids > MaxActionObjectId) [[unlikely]] {
+        const BadRecord Bad = cutRunAtBadId(T, I, RunEnd);
+        deliverRun(T, I, Bad.Index, Shard);
+        return Bad;
+      }
       deliverRun(T, I, RunEnd, Shard);
       I = RunEnd;
     }
+    return {};
   }
 
   /// Routes \p A to the detector hook it instruments.
@@ -291,6 +326,25 @@ private:
                                              // delivered post-toggle.
       Accounted = StopPos + 1;
     }
+  }
+
+  static_assert((MaxActionObjectId & (MaxActionObjectId + 1)) == 0,
+                "the access-run id check ORs ids against an all-ones cap");
+
+  /// Slow path of the access-run check: finds the first access in
+  /// [\p Begin, \p End) whose variable id is out of range and forgets
+  /// the first sights the scan marked at or after it, so no hook hears
+  /// of a thread that appears only from the bad record on.
+  [[gnu::noinline]] BadRecord cutRunAtBadId(TraceSpan T, size_t Begin,
+                                            size_t End) {
+    size_t Bad = Begin;
+    while (Bad < End && T[Bad].Target <= MaxActionObjectId)
+      ++Bad;
+    while (!FirstSights.empty() && FirstSights.back() >= Bad) {
+      Seen[T[FirstSights.back()].Tid] = false;
+      FirstSights.pop_back();
+    }
+    return {Bad, validateActionRecord(T[Bad])};
   }
 
   /// Member shorthand for the static pair-run delivery above.

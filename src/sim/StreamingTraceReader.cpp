@@ -106,18 +106,11 @@ TraceSpan StreamingTraceReader::nextBinary() {
            std::to_string(*Total) + " records)");
       return {};
     }
-    for (size_t I = 0; I < Records; ++I) {
-      if (static_cast<uint8_t>(WindowBuf[I].Kind) >
-          static_cast<uint8_t>(ActionKind::ThreadExit)) {
-        fail(Path + ": bad action kind in record " +
-             std::to_string(*Total - RemainingRecords + I));
-        return {};
-      }
-      if (const char *Bad = validateActionRecord(WindowBuf[I])) {
-        fail(Path + ": " + Bad + " in record " +
-             std::to_string(*Total - RemainingRecords + I));
-        return {};
-      }
+    if (const BadRecord Bad =
+            firstBadRecord(TraceSpan(WindowBuf.data(), Records))) {
+      fail(Path + ": " + Bad.Why + " in record " +
+           std::to_string(*Total - RemainingRecords + Bad.Index));
+      return {};
     }
   } else {
     RawBuf.resize(Want * BinaryTraceRecordBytes);

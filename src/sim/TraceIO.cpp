@@ -181,6 +181,13 @@ const char *pacer::validateActionRecord(const Action &A) {
   return nullptr;
 }
 
+BadRecord pacer::firstBadRecord(TraceSpan T) {
+  for (size_t I = 0; I < T.size(); ++I)
+    if (const char *Why = checkActionRecord(T[I]))
+      return {I, Why};
+  return {};
+}
+
 void pacer::packBinaryHeader(uint64_t Count, unsigned char *Out) {
   std::memcpy(Out, BinaryTraceMagic, 8);
   putLE32(Out + 8, BinaryTraceVersion);
@@ -545,18 +552,10 @@ TraceParseResult readBinaryTraceFile(const std::string &Path,
       const auto *Actions = reinterpret_cast<const Action *>(Slab.data());
       // Even on the bulk path the kind bytes are validated: a corrupt
       // record must fail loudly, not dispatch as garbage.
-      for (size_t I = 0; I < Records; ++I) {
-        if (static_cast<uint8_t>(Actions[I].Kind) > MaxKindByte) {
-          Result.Error =
-              Path + ": bad action kind in record " +
-              std::to_string(Count - Remaining + I);
-          return Result;
-        }
-        if (const char *Bad = validateActionRecord(Actions[I])) {
-          Result.Error = Path + ": " + Bad + " in record " +
-                         std::to_string(Count - Remaining + I);
-          return Result;
-        }
+      if (const BadRecord Bad = firstBadRecord(TraceSpan(Actions, Records))) {
+        Result.Error = Path + ": " + Bad.Why + " in record " +
+                       std::to_string(Count - Remaining + Bad.Index);
+        return Result;
       }
       Result.T.insert(Result.T.end(), Actions, Actions + Records);
     } else {

@@ -100,6 +100,34 @@ bool unpackBinaryRecord(const unsigned char *In, Action &A);
 /// analysis.
 const char *validateActionRecord(const Action &A);
 
+/// The whole check of one record that sits in memory as an Action (a
+/// mapped v2 file, whose kind byte no decoder has screened): the kind
+/// byte must name an ActionKind, then validateActionRecord. Returns
+/// nullptr for a well-formed record, else a static reason string.
+/// Inline, with validateActionRecord's screen repeated in front of the
+/// call, because the replay scan runs it on every non-access action.
+inline const char *checkActionRecord(const Action &A) {
+  if (static_cast<uint8_t>(A.Kind) >
+      static_cast<uint8_t>(ActionKind::ThreadExit))
+    return "bad action kind";
+  if (A.Target <= MaxActionObjectId)
+    return nullptr;
+  return validateActionRecord(A);
+}
+
+/// The first record of a span that fails checkActionRecord, if any.
+struct BadRecord {
+  size_t Index = 0;          ///< Position within the checked span.
+  const char *Why = nullptr; ///< Null when every record is well formed.
+
+  explicit operator bool() const { return Why != nullptr; }
+};
+
+/// Checks every record of \p T in order. TraceView::open runs it over a
+/// mapped file; Runtime::replayChunk applies the same checks inside its
+/// own scan, so a replay of an unchecked span stops at the same record.
+BadRecord firstBadRecord(TraceSpan T);
+
 /// Renders the 24-byte v2 header for \p Count records into \p Out.
 void packBinaryHeader(uint64_t Count, unsigned char *Out);
 

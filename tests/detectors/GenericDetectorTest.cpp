@@ -1,10 +1,15 @@
 //===- tests/detectors/GenericDetectorTest.cpp ----------------------------==//
 
 #include "detectors/GenericDetector.h"
+#include "runtime/AnalysisSession.h"
 
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <fstream>
+#include <string>
 
 using namespace pacer;
 using namespace pacer::test;
@@ -174,6 +179,31 @@ TEST_F(GenericDetectorTest, MetadataBytesGrowWithVariables) {
   size_t Before = D.liveMetadataBytes();
   replay(TraceBuilder().write(0, 100).write(0, 200).take());
   EXPECT_GT(D.liveMetadataBytes(), Before);
+}
+
+TEST_F(GenericDetectorTest, LargestVariableIdCostsOneEntry) {
+  // Per-variable state is keyed by id, not indexed densely: one access to
+  // the largest legal id must not allocate state for every smaller id
+  // (a dense vector of 2^24 entries took gigabytes and aborted the
+  // analysis under a 4 GB address-space limit).
+  const std::string Path =
+      ::testing::TempDir() + "/pacer_generic_largest_var.trace";
+  {
+    std::ofstream Out(Path, std::ios::trunc);
+    Out << "pacer-trace v1 4183\nwr 0 16777215 1\n";
+  }
+  AnalysisRequest Request;
+  Request.Setup = genericSetup();
+  AnalysisResult Result =
+      AnalysisSession(flatSiteWorkload(), Request).analyzeFile(Path);
+  std::remove(Path.c_str());
+  ASSERT_TRUE(Result.Ok) << Result.Error;
+  EXPECT_EQ(Result.TraceEvents, 1u);
+  EXPECT_LT(Result.FinalMetadataBytes, size_t{1} << 20);
+
+  replay(TraceBuilder().write(0, MaxActionObjectId).take());
+  EXPECT_EQ(D.trackedVariableCount(), 1u);
+  EXPECT_LT(D.liveMetadataBytes(), size_t{1} << 20);
 }
 
 TEST_F(GenericDetectorTest, ThreadClockAdvancesOnRelease) {

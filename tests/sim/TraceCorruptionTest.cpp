@@ -2,7 +2,9 @@
 //
 // Corrupt-input corpus for the binary v2 format, applied uniformly to all
 // three read paths: readTraceFile (buffered load), TraceView (mmap and its
-// forced-buffered fallback), and StreamingTraceReader (bounded window).
+// forced-buffered fallback), and StreamingTraceReader (bounded window) --
+// and to AnalysisSession::analyzeFile, whose sequential replay checks the
+// records of a mapped trace itself.
 // The daemon feeds attacker-controlled bytes straight into these readers,
 // so every corruption must produce a clean diagnostic -- never a crash,
 // an abort (e.g. a reserve() sized from a hostile record count), or a
@@ -202,6 +204,31 @@ TEST(TraceCorruptionTest, EveryReaderRejectsEveryCorruption) {
         << Entry.Name << ": streaming reader accepted";
     EXPECT_FALSE(Stream.error().empty()) << Entry.Name;
 
+    std::remove(Path.c_str());
+  }
+}
+
+TEST(TraceCorruptionTest, MappedAnalysisRejectsLikeTheCheckedView) {
+  // analyzeFile maps a binary trace with only its framing checked and
+  // lets the sequential replay check each record. Every corruption must
+  // still fail, with the very diagnostic the fully checked view gives.
+  const DetectorSetup Setups[] = {pacerSetup(0.5), fastTrackSetup(),
+                                  genericSetup(), literaceSetup()};
+  for (const CorpusEntry &Entry : corruptCorpus()) {
+    std::string Path = writeCorpusFile(
+        std::string("pacer_corrupt_session_") + Entry.Name, Entry.Bytes);
+    const TraceView Checked = TraceView::open(Path);
+    ASSERT_FALSE(Checked.ok()) << Entry.Name;
+    for (const DetectorSetup &Setup : Setups) {
+      AnalysisRequest Request;
+      Request.Setup = Setup;
+      AnalysisResult Analysis =
+          AnalysisSession(flatSiteWorkload(), Request).analyzeFile(Path);
+      EXPECT_FALSE(Analysis.Ok)
+          << Entry.Name << " " << detectorKindName(Setup.Kind);
+      EXPECT_EQ(Analysis.Error, Checked.error())
+          << Entry.Name << " " << detectorKindName(Setup.Kind);
+    }
     std::remove(Path.c_str());
   }
 }
