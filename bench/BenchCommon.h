@@ -31,7 +31,7 @@
 #define PACER_BENCH_BENCHCOMMON_H
 
 #include "harness/DetectionExperiment.h"
-#include "harness/TrialRunner.h"
+#include "runtime/AnalysisSession.h"
 #include "runtime/TraceIndex.h"
 #include "sim/Workloads.h"
 #include "support/CommandLine.h"
@@ -84,10 +84,7 @@ inline OptionRegistry benchOptionRegistry(const std::string &Usage,
               "worker threads for trial-level parallelism")
       .addString("shards", "1",
                  "variable shards per trial replay (intra-trial "
-                 "parallelism): a count; 'auto' = 1 (sequential)")
-      .addFlag("pin-threads",
-               "pin pool workers to CPUs (also PACER_PIN_THREADS=1); "
-               "best-effort, no-op where unsupported");
+                 "parallelism): a count; 'auto' = 1 (sequential)");
   return R;
 }
 
@@ -101,11 +98,6 @@ inline BenchOptions benchOptionsFrom(const OptionRegistry &R) {
   int64_t Jobs = R.getInt("jobs");
   Options.Jobs = Jobs < 1 ? 1u : static_cast<unsigned>(Jobs);
   Options.Shards = parseShardCount(R.getString("shards"));
-  if (R.getBool("pin-threads"))
-    setThreadPinning(true);
-  if (threadPinningEnabled())
-    std::fprintf(stderr, "[pin] worker CPU affinity on (%u cpus)\n",
-                 hardwareJobs());
   std::string Name = R.getString("workload");
   std::vector<WorkloadSpec> All = paperWorkloads();
   for (WorkloadSpec &Spec : All)

@@ -21,14 +21,13 @@
 #include "core/VersionEpoch.h"
 #include "detectors/PacerDetector.h"
 #include "detectors/FastTrackDetector.h"
-#include "harness/TrialRunner.h"
+#include "runtime/AnalysisSession.h"
 #include "runtime/Runtime.h"
 #include "runtime/TraceIndex.h"
 #include "sim/TraceGenerator.h"
 #include "sim/Workloads.h"
 #include "support/CommandLine.h"
 #include "support/Stats.h"
-#include "support/ThreadPool.h"
 
 #include <benchmark/benchmark.h>
 
@@ -558,10 +557,7 @@ int runJsonMode(int Argc, const char *const *Argv) {
       .addDouble("scale", 1.0, "workload scale factor")
       .addInt("seed", 12345, "trace seed")
       .addString("shards", "1",
-                 "variable shards per trial replay: a count; 'auto' = 1")
-      .addFlag("pin-threads",
-               "pin pool workers to CPUs (also PACER_PIN_THREADS=1); "
-               "best-effort, no-op where unsupported");
+                 "variable shards per trial replay: a count; 'auto' = 1");
   if (!R.parse(Argc, Argv))
     return R.helpRequested() ? 0 : 2;
   std::string OutPath = R.getString("json-out");
@@ -569,11 +565,6 @@ int runJsonMode(int Argc, const char *const *Argv) {
   double Scale = R.getDouble("scale");
   uint64_t Seed = static_cast<uint64_t>(R.getInt("seed"));
   unsigned Shards = parseShardCount(R.getString("shards"));
-  if (R.getBool("pin-threads"))
-    setThreadPinning(true);
-  if (threadPinningEnabled())
-    std::fprintf(stderr, "[pin] worker CPU affinity on (%u cpus)\n",
-                 hardwareJobs());
 
   // Kernel rows first: the primitive the detector rows are built on. Every
   // ISA path compiled in and supported by this host is swept via the force
@@ -625,8 +616,9 @@ int runJsonMode(int Argc, const char *const *Argv) {
     DetectorSetup Setup = NS.Setup;
     Setup.Shards = Shards;
     for (uint32_t Rep = 0; Rep < Reps; ++Rep) {
-      TrialResult Result = runTrialOnTrace(T, Workload, Setup, Seed,
-                                           Index ? &*Index : nullptr);
+      AnalysisResult Result =
+          AnalysisSession(Workload, trialRequest(Setup, Seed))
+              .analyzeTrace(T, Index ? &*Index : nullptr);
       Races = Result.DynamicRaces;
       double Seconds = Result.ReplaySeconds;
       NsPerEvent.push_back(T.empty() ? 0.0

@@ -31,9 +31,7 @@
 #include "support/CommandLine.h"
 #include "support/Stats.h"
 #include "support/Timer.h"
-#include "support/Topology.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <iterator>
 #include <string>
@@ -91,98 +89,6 @@ AnalysisRequest requestFor(const DetectorSetup &Setup, unsigned Shards,
   Request.Seed = Seed;
   Request.CollectReports = false;
   return Request;
-}
-
-/// One NUMA placement measurement: indexed pacer replay with every arena
-/// slab forced onto \p Node while the (serial) replay thread stays pinned
-/// on the first node's first CPU. "local" vs "remote" is the cross-node
-/// clock-traffic cost the node-local placement avoids.
-struct NumaRow {
-  unsigned Node = 0;
-  const char *Placement = "local";
-  double IndexedMs = 0.0;
-};
-
-/// Runs the comparison when the host has more than one node; on single
-/// node hosts returns no rows (nothing to compare). Serial replay means
-/// the pinned main thread does all the work, so the allocation-node
-/// override alone controls locality.
-std::vector<NumaRow> measureNumaPlacement(const CompiledWorkload &Workload,
-                                          const Trace &T,
-                                          const DetectorSetup &Setup,
-                                          uint64_t Seed, uint32_t Reps) {
-  std::vector<NumaRow> Rows;
-  const topo::Topology &Topo = topo::systemTopology();
-  if (!Topo.multiNode())
-    return Rows;
-  const unsigned NearNode = Topo.Nodes.front().Id;
-  const unsigned FarNode = Topo.Nodes.back().Id;
-  if (!topo::pinCurrentThreadToCpu(Topo.Nodes.front().Cpus.front())) {
-    std::fprintf(stderr, "numa: pin failed, skipping comparison\n");
-    return Rows;
-  }
-  const unsigned K = 4;
-  TraceIndex Index = TraceIndex::build(T, K);
-  for (unsigned Node : {NearNode, FarNode}) {
-    topo::setAllocationNodeOverride(static_cast<int>(Node));
-    AnalysisSession Session(Workload, requestFor(Setup, K, true, Seed));
-    std::vector<double> Ms;
-    for (uint32_t Rep = 0; Rep < Reps; ++Rep) {
-      Timer Run;
-      AnalysisResult Result = Session.analyzeTrace(T, &Index);
-      (void)Result;
-      Ms.push_back(Run.seconds() * 1e3);
-    }
-    Rows.push_back({Node, Node == NearNode ? "local" : "remote",
-                    median(Ms)});
-  }
-  topo::setAllocationNodeOverride(-1);
-  return Rows;
-}
-
-/// Node spread of the first \p Workers slots of the worker-count-aware
-/// pin plan: "node0:2 node1:2". The leading slots are what a K-replica
-/// sharded replay actually occupies, so this is the placement the plan
-/// gives those replicas.
-std::string planSpread(const topo::Topology &T, unsigned Workers) {
-  topo::PinPlan Plan = topo::buildPinPlan(T, Workers);
-  std::string Out;
-  size_t Taken = 0;
-  for (const topo::NodeInfo &Node : T.Nodes) {
-    size_t OnNode = 0;
-    for (size_t I = 0; I != std::min<size_t>(Workers, Plan.size()); ++I)
-      OnNode += Plan[I].Node == Node.Id;
-    if (OnNode == 0)
-      continue;
-    if (!Out.empty())
-      Out += " ";
-    Out += "node" + std::to_string(Node.Id) + ":" + std::to_string(OnNode);
-    Taken += OnNode;
-  }
-  (void)Taken;
-  return Out;
-}
-
-struct PlanRow {
-  const char *Topo;
-  unsigned Workers;
-  std::string Spread;
-};
-
-/// Plan-shape column: the real topology for every shard count, plus a
-/// synthetic 2x4-CPU shape so the K > per-node-CPUs balancing case is
-/// exercised (and diffable) even on the single-node hosts CI runs on.
-std::vector<PlanRow> planShapeRows(const unsigned *ShardCounts, size_t N) {
-  std::vector<PlanRow> Rows;
-  const topo::Topology &Real = topo::systemTopology();
-  topo::Topology Synthetic = topo::topologyFromCpuLists({"0-3", "4-7"}, 8);
-  for (size_t I = 0; I != N; ++I) {
-    Rows.push_back({"system", ShardCounts[I],
-                    planSpread(Real, ShardCounts[I])});
-    Rows.push_back({"synthetic_2x4", ShardCounts[I],
-                    planSpread(Synthetic, ShardCounts[I])});
-  }
-  return Rows;
 }
 
 } // namespace
@@ -280,23 +186,6 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  // NUMA column: local-vs-remote arena placement for the indexed pacer
-  // point, meaningful only on multi-node hosts (single-node emits the
-  // topology and an empty comparison).
-  const topo::Topology &Topo = topo::systemTopology();
-  std::printf("numa: %s\n", topo::summary().c_str());
-  std::vector<NumaRow> NumaRows =
-      measureNumaPlacement(Workload, T, Pacer, Seed, Reps);
-  for (const NumaRow &NR : NumaRows)
-    std::printf("numa: pacer_r3 K=4 indexed, slabs on node%u (%s): "
-                "%8.2f ms\n",
-                NR.Node, NR.Placement, NR.IndexedMs);
-  std::vector<PlanRow> PlanRows =
-      planShapeRows(ShardCounts, std::size(ShardCounts));
-  for (const PlanRow &PR : PlanRows)
-    std::printf("numa: pin plan [%s] K=%u -> %s\n", PR.Topo, PR.Workers,
-                PR.Spread.c_str());
-
   std::FILE *Out = std::fopen(OutPath.c_str(), "w");
   if (!Out) {
     std::fprintf(stderr, "cannot open %s for writing\n", OutPath.c_str());
@@ -305,29 +194,10 @@ int main(int Argc, char **Argv) {
   std::fprintf(Out,
                "{\n  \"workload\": \"%s\",\n  \"events\": %zu,\n"
                "  \"accesses\": %llu,\n  \"reps\": %u,\n  \"jobs\": 1,\n"
-               "  \"isa\": \"%s\",\n  \"numa_nodes\": %zu,\n"
-               "  \"numa\": [\n",
+               "  \"isa\": \"%s\",\n  \"sequential\": [\n",
                Workload.spec().Name.c_str(), T.size(),
                static_cast<unsigned long long>(Accesses), Reps,
-               kernels::activeIsa(), Topo.Nodes.size());
-  for (size_t I = 0; I != NumaRows.size(); ++I) {
-    const NumaRow &NR = NumaRows[I];
-    std::fprintf(Out,
-                 "    {\"node\": %u, \"placement\": \"%s\", "
-                 "\"indexed_ms\": %.3f}%s\n",
-                 NR.Node, NR.Placement, NR.IndexedMs,
-                 I + 1 == NumaRows.size() ? "" : ",");
-  }
-  std::fprintf(Out, "  ],\n  \"numa_plan\": [\n");
-  for (size_t I = 0; I != PlanRows.size(); ++I) {
-    const PlanRow &PR = PlanRows[I];
-    std::fprintf(Out,
-                 "    {\"topology\": \"%s\", \"workers\": %u, "
-                 "\"spread\": \"%s\"}%s\n",
-                 PR.Topo, PR.Workers, PR.Spread.c_str(),
-                 I + 1 == PlanRows.size() ? "" : ",");
-  }
-  std::fprintf(Out, "  ],\n  \"sequential\": [\n");
+               kernels::activeIsa());
   for (size_t I = 0; I < Rows.size(); I += std::size(ShardCounts))
     std::fprintf(Out,
                  "    {\"detector\": \"%s\", \"sequential_ms\": %.3f}%s\n",

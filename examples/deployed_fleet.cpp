@@ -16,7 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "harness/DetectionExperiment.h"
-#include "harness/TrialRunner.h"
+#include "runtime/AnalysisSession.h"
 #include "runtime/FleetAggregator.h"
 #include "sim/Workloads.h"
 #include "support/Table.h"
@@ -52,8 +52,11 @@ int main() {
   int Milestone = 25;
   std::printf("fleet size -> evaluation races found (cumulative)\n");
   for (int Instance = 1; Instance <= FleetSize; ++Instance) {
-    TrialResult Result =
-        runTrial(Workload, Setup, 50000 + static_cast<uint64_t>(Instance));
+    AnalysisResult Result =
+        AnalysisSession(Workload,
+                        trialRequest(Setup,
+                                     50000 + static_cast<uint64_t>(Instance)))
+            .analyzeGenerated();
     // In a real deployment each instance ships its RaceLog; reconstruct
     // one from the trial's aggregate counts.
     RaceLog Log;

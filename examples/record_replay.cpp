@@ -12,7 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "harness/TrialRunner.h"
+#include "runtime/AnalysisSession.h"
 #include "sim/StreamingTraceReader.h"
 #include "sim/TraceGenerator.h"
 #include "sim/TraceIO.h"
@@ -60,7 +60,8 @@ int main(int Argc, char **Argv) {
        {Entry{"FastTrack (full)", fastTrackSetup()},
         Entry{"PACER r=100%", pacerSetup(1.0)},
         Entry{"GENERIC", genericSetup()}}) {
-    TrialResult Result = runTrialOnTrace(Parsed.T, Workload, E.Setup, 42);
+    AnalysisResult Result = AnalysisSession(Workload, trialRequest(E.Setup, 42))
+                                .analyzeTrace(Parsed.T);
     std::printf("%-18s %zu distinct race(s), %llu dynamic report(s)\n",
                 E.Label, Result.Races.size(),
                 static_cast<unsigned long long>(Result.DynamicRaces));
@@ -70,11 +71,11 @@ int main(int Argc, char **Argv) {
   // A bounded window (here 4096 actions, ~48 KiB) flows through the
   // detector; the result is bit-identical to the in-memory replay. ---
   StreamingTraceReader Reader(Path, 4096);
-  std::string Error;
-  TrialResult Streamed =
-      runTrialOnStream(Reader, Workload, fastTrackSetup(), 42, &Error);
-  if (!Error.empty()) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
+  AnalysisResult Streamed =
+      AnalysisSession(Workload, trialRequest(fastTrackSetup(), 42))
+          .analyzeStream(Reader);
+  if (!Streamed.Ok) {
+    std::fprintf(stderr, "error: %s\n", Streamed.Error.c_str());
     return 1;
   }
   std::printf("%-18s %zu distinct race(s), %llu dynamic report(s)"

@@ -277,7 +277,10 @@ void remapGather(uint32_t *Dst, const uint32_t *Src, const uint32_t *Idx,
 }
 
 void copyWords(uint32_t *Dst, const uint32_t *Src, size_t N) {
-  std::memcpy(Dst, Src, N * sizeof(uint32_t));
+  // Empty clocks may hand in null data(); memcpy's pointers must be valid
+  // even for a zero-byte copy.
+  if (N != 0)
+    std::memcpy(Dst, Src, N * sizeof(uint32_t));
 }
 
 } // namespace pacer::kernels

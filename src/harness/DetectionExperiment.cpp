@@ -29,14 +29,16 @@ GroundTruth pacer::computeGroundTruth(const CompiledWorkload &Workload,
   // Each trial is an independent pure function of its seed; run them
   // concurrently, then aggregate the index-ordered results exactly as the
   // serial loop would have.
-  std::vector<TrialResult> Results =
+  std::vector<AnalysisResult> Results =
       parallelMap(Jobs, FullTrials, [&](size_t Trial) {
-        return runTrial(Workload, fastTrackSetup(),
-                        deriveTrialSeed(BaseSeed, Trial));
+        return AnalysisSession(Workload,
+                               trialRequest(fastTrackSetup(),
+                                            deriveTrialSeed(BaseSeed, Trial)))
+            .analyzeGenerated();
       });
 
   std::map<RaceKey, std::pair<uint32_t, uint64_t>> Seen; // trials, dynamic
-  for (const TrialResult &Result : Results) {
+  for (const AnalysisResult &Result : Results) {
     for (const auto &[Key, Count] : Result.Races) {
       auto &[Trials, Dynamic] = Seen[Key];
       ++Trials;
@@ -71,19 +73,20 @@ DetectionPoint pacer::measureDetection(const CompiledWorkload &Workload,
   std::vector<uint32_t> TrialsDetected(NumEval, 0);
   RunningStat EffectiveRate;
 
-  std::vector<TrialResult> Results =
+  std::vector<AnalysisResult> Results =
       parallelMap(Jobs, Trials, [&](size_t Trial) {
         // Salted so detection trials draw from a seed family disjoint
         // from the ground-truth trials of the same base seed.
         uint64_t Seed =
             deriveTrialSeed(BaseSeed, Trial, 0x44455443ull /*"DETC"*/);
-        return runTrial(Workload, Setup, Seed);
+        return AnalysisSession(Workload, trialRequest(Setup, Seed))
+            .analyzeGenerated();
       });
 
   // Aggregate in seed order: the Welford accumulator's result depends on
   // insertion order, so walking the ordered results keeps every Jobs
   // value bit-identical to the serial loop.
-  for (const TrialResult &Result : Results) {
+  for (const AnalysisResult &Result : Results) {
     for (size_t I = 0; I != NumEval; ++I) {
       RaceKey Key = Truth.EvaluationRaces[I].Key;
       uint64_t Count = Result.dynamicCount(Key);

@@ -26,7 +26,7 @@
 #ifndef PACER_HARNESS_DETECTIONEXPERIMENT_H
 #define PACER_HARNESS_DETECTIONEXPERIMENT_H
 
-#include "harness/TrialRunner.h"
+#include "runtime/AnalysisSession.h"
 
 #include <vector>
 

@@ -22,7 +22,7 @@ pacer::measureOverheads(const CompiledWorkload &Workload,
   // trace at the same shard count: the build then happens once, outside
   // every timed region, matching how a long-lived analysis would amortize
   // it. Mixed shard counts or local-access elision fall back to per-call
-  // handling inside runTrialOnTrace.
+  // handling inside AnalysisSession::analyzeTrace.
   unsigned SharedIndexShards = 0;
   {
     bool Uniform = !Configs.empty();
@@ -59,12 +59,8 @@ pacer::measureOverheads(const CompiledWorkload &Workload,
         Out.Events = T.size();
         Out.PerConfig.reserve(Configs.size());
         for (const OverheadConfig &Config : Configs) {
-          AnalysisRequest Request;
-          Request.Setup = Config.Setup;
-          Request.Seed = Seed;
-          Request.CollectReports = false; // Timing only; skip report copies.
           AnalysisResult Result =
-              AnalysisSession(Workload, Request)
+              AnalysisSession(Workload, trialRequest(Config.Setup, Seed))
                   .analyzeTrace(T, Index ? &*Index : nullptr);
           Out.PerConfig.push_back(Result.ReplaySeconds);
           Out.Hot.push_back(Result.HotAccesses);

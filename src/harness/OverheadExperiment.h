@@ -17,7 +17,7 @@
 #ifndef PACER_HARNESS_OVERHEADEXPERIMENT_H
 #define PACER_HARNESS_OVERHEADEXPERIMENT_H
 
-#include "harness/TrialRunner.h"
+#include "runtime/AnalysisSession.h"
 
 #include <string>
 #include <vector>

@@ -18,7 +18,7 @@
 #ifndef PACER_HARNESS_SPACEEXPERIMENT_H
 #define PACER_HARNESS_SPACEEXPERIMENT_H
 
-#include "harness/TrialRunner.h"
+#include "runtime/AnalysisSession.h"
 
 #include <string>
 #include <vector>

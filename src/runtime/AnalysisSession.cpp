@@ -110,20 +110,13 @@ const CompiledWorkload &pacer::flatSiteWorkload() {
   return *Flat;
 }
 
-TrialResult AnalysisResult::trial() const {
-  TrialResult R;
-  R.Races = Races;
-  R.DynamicRaces = DynamicRaces;
-  R.Stats = Stats;
-  R.EffectiveAccessRate = EffectiveAccessRate;
-  R.EffectiveSyncRate = EffectiveSyncRate;
-  R.LiteRaceEffectiveRate = LiteRaceEffectiveRate;
-  R.Boundaries = Boundaries;
-  R.TraceEvents = TraceEvents;
-  R.ReplaySeconds = ReplaySeconds;
-  R.FinalMetadataBytes = FinalMetadataBytes;
-  R.PeakSlotCount = PeakSlotCount;
-  return R;
+AnalysisRequest pacer::trialRequest(const DetectorSetup &Setup,
+                                    uint64_t Seed) {
+  AnalysisRequest Request;
+  Request.Setup = Setup;
+  Request.Seed = Seed;
+  Request.CollectReports = false;
+  return Request;
 }
 
 namespace {

@@ -6,11 +6,8 @@
 ///
 /// \file
 /// One front door for every way this repository replays a trace through a
-/// detector. The replay machinery grew four organically separate entry
-/// points -- runTrial (generate + replay), runTrialOnTrace (in-memory or
-/// mmap span, optionally sharded), runTrialOnStream (bounded-window
-/// sequential), and shardedReplay (the raw engine) -- each with its own
-/// parameter spelling and result shape. AnalysisSession consolidates them:
+/// detector: generate + replay, an in-memory or mmap span (optionally
+/// sharded), a bounded-window stream, or a file on disk.
 ///
 ///   AnalysisRequest  -- detector config (DetectorSetup, which already
 ///                       carries the shard policy), trial seed, streaming
@@ -26,20 +23,15 @@
 ///                       analysis), resolved shard count, and an Ok/Error
 ///                       pair for untrusted inputs.
 ///
-/// The legacy free functions in harness/TrialRunner.h remain as thin
-/// compatibility wrappers over a session; results are bit-identical (the
-/// session *is* the moved implementation). analyzeFile subsumes the read-
-/// path policy that previously lived in tools/racedetect: binary traces
-/// analyse from an mmap view (whose records the sequential replay checks
-/// in its own scan), Stream mode keeps peak trace-resident memory at
-/// O(window) (an explicit sharded replay indexes in an extra bounded
-/// pass), text traces parse or stream line by line -- results are
-/// bit-identical across every path for a given (Setup, Seed).
+/// analyzeFile owns the read-path policy: binary traces analyse from an
+/// mmap view (whose records the sequential replay checks in its own
+/// scan), Stream mode keeps peak trace-resident memory at O(window) (an
+/// explicit sharded replay indexes in an extra bounded pass), text traces
+/// parse or stream line by line -- results are bit-identical across every
+/// path for a given (Setup, Seed).
 ///
-/// This header also hosts DetectorKind / DetectorSetup / makeDetector and
-/// TrialResult (moved from harness/TrialRunner.h so the runtime layer can
-/// own the facade without depending on the harness; TrialRunner.h
-/// re-exports them, so existing includes keep working).
+/// This header also hosts DetectorKind / DetectorSetup / makeDetector, so
+/// the experiment harness and the tools share one detector configuration.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -131,31 +123,6 @@ std::unique_ptr<Detector> makeDetector(const DetectorSetup &Setup,
                                        const CompiledWorkload &Workload,
                                        uint64_t Seed);
 
-/// Everything measured in one trial (the legacy result shape; see
-/// AnalysisResult for the superset the session returns).
-struct TrialResult {
-  std::unordered_map<RaceKey, uint64_t> Races; ///< Distinct -> dynamic.
-  uint64_t DynamicRaces = 0;
-  DetectorStats Stats;
-  double EffectiveAccessRate = 0.0; ///< PACER only.
-  double EffectiveSyncRate = 0.0;   ///< PACER only.
-  double LiteRaceEffectiveRate = 0.0;
-  uint64_t Boundaries = 0;
-  uint64_t TraceEvents = 0;
-  double ReplaySeconds = 0.0;
-  size_t FinalMetadataBytes = 0;
-  /// High-water thread-slot count (replica 0 under sharded replay).
-  /// Without recycling this is the number of threads ever started; with
-  /// it, the live-thread high-water mark between compactions.
-  size_t PeakSlotCount = 0;
-
-  bool sawRace(RaceKey Key) const { return Races.count(Key) != 0; }
-  uint64_t dynamicCount(RaceKey Key) const {
-    auto It = Races.find(Key);
-    return It == Races.end() ? 0 : It->second;
-  }
-};
-
 /// One replay request: everything that parameterizes an analysis except
 /// the input bytes themselves (which pick the analyze* entry point).
 struct AnalysisRequest {
@@ -179,6 +146,10 @@ struct AnalysisRequest {
   bool CollectReports = true;
 };
 
+/// The request one experiment trial replays: \p Setup under trial seed
+/// \p Seed, counts only (no sample reports, which no trial reads).
+AnalysisRequest trialRequest(const DetectorSetup &Setup, uint64_t Seed);
+
 /// Union result of every analyze* entry point. Fields a path does not
 /// produce are value-initialized (e.g. LoadSeconds on analyzeStream).
 struct AnalysisResult {
@@ -197,6 +168,9 @@ struct AnalysisResult {
   uint64_t TraceEvents = 0;
   double ReplaySeconds = 0.0;
   size_t FinalMetadataBytes = 0;
+  /// High-water thread-slot count (replica 0 under sharded replay).
+  /// Without recycling this is the number of threads ever started; with
+  /// it, the live-thread high-water mark between compactions.
   size_t PeakSlotCount = 0;
   /// Accesses analysed on the hot (sampling / full-analysis) path vs.
   /// handled on the cold (non-sampling fast or discard) path -- the
@@ -232,9 +206,11 @@ struct AnalysisResult {
   /// one '\n'-terminated line each.
   std::string Notes;
 
-  /// The legacy TrialResult view of this result (exact field mapping; the
-  /// compatibility wrappers in harness/TrialRunner.h return this).
-  TrialResult trial() const;
+  bool sawRace(RaceKey Key) const { return Races.count(Key) != 0; }
+  uint64_t dynamicCount(RaceKey Key) const {
+    auto It = Races.find(Key);
+    return It == Races.end() ? 0 : It->second;
+  }
 };
 
 /// Facade binding one AnalysisRequest to a workload context. The workload
@@ -253,26 +229,24 @@ public:
   const AnalysisRequest &request() const { return Request; }
   const CompiledWorkload &workload() const { return Workload; }
 
-  /// Generates the workload's trace for Request.Seed and analyses it
-  /// (the legacy runTrial).
+  /// Generates the workload's trace for Request.Seed and analyses it.
   AnalysisResult analyzeGenerated() const;
 
-  /// Analyses an in-memory or memory-mapped trace span (the legacy
-  /// runTrialOnTrace). \p Index, when non-null, must describe \p T; it is
-  /// reused when its shard count matches the resolved Setup.Shards and
-  /// ignored otherwise (and always ignored under ElideLocalAccesses,
-  /// which replays a filtered trace). The sequential replay checks each
-  /// record as it reaches it: on a bad one the result is Ok = false with
-  /// "<why> in record <N>" (N counts replayed records), covering the
-  /// prefix before it. Sharded replay and ElideLocalAccesses read records
-  /// unchecked and need a span whose records were checked on load
-  /// (TraceView::open, readTraceFile).
+  /// Analyses an in-memory or memory-mapped trace span. \p Index, when
+  /// non-null, must describe \p T; it is reused when its shard count
+  /// matches the resolved Setup.Shards and ignored otherwise (and always
+  /// ignored under ElideLocalAccesses, which replays a filtered trace).
+  /// The sequential replay checks each record as it reaches it: on a bad
+  /// one the result is Ok = false with "<why> in record <N>" (N counts
+  /// replayed records), covering the prefix before it. Sharded replay and
+  /// ElideLocalAccesses read records unchecked and need a span whose
+  /// records were checked on load (TraceView::open, readTraceFile).
   AnalysisResult analyzeTrace(TraceSpan T,
                               const TraceIndex *Index = nullptr) const;
 
-  /// Analyses a trace from \p Reader's bounded window (the legacy
-  /// runTrialOnStream): sequential, O(window) trace-resident memory,
-  /// Setup.Shards ignored. Reader errors surface as Ok = false.
+  /// Analyses a trace from \p Reader's bounded window: sequential,
+  /// O(window) trace-resident memory, Setup.Shards ignored. Reader errors
+  /// surface as Ok = false.
   AnalysisResult analyzeStream(StreamingTraceReader &Reader) const;
 
   /// Analyses a trace file, auto-detecting text vs binary. The default

@@ -2,8 +2,6 @@
 
 #include "support/Arena.h"
 
-#include "support/Topology.h"
-
 #include <cassert>
 #include <new>
 
@@ -51,21 +49,6 @@ void *Arena::carve(size_t TotalBytes) {
   size_t SlabSize = TotalBytes > DefaultSlabBytes ? TotalBytes
                                                   : DefaultSlabBytes;
   char *Base = static_cast<char *>(::operator new(SlabSize));
-  // Node-local placement for sharded replay: replicas are constructed and
-  // run inside their (pinned) worker's task, so the thread carving this
-  // slab is the thread whose node the detector metadata should live on.
-  // mbind sets the policy (and migrates any recycled resident pages);
-  // touching every page here makes first-touch place the rest correctly
-  // even where mbind is unavailable. Unpinned threads (Node < 0) skip all
-  // of this -- the pre-NUMA behavior.
-  if (int Node = topo::currentAllocationNode(); Node >= 0) {
-    (void)topo::bindMemoryToNode(Base, SlabSize,
-                                 static_cast<unsigned>(Node));
-    const size_t Page = topo::pageSize();
-    for (size_t Off = 0; Off < SlabSize; Off += Page)
-      static_cast<volatile char *>(Base)[Off] = 0;
-    ++NodePlacedSlabs;
-  }
   Slabs.push_back({Base, SlabSize});
   SlabBytesTotal += SlabSize;
   ++SlabAllocs;

@@ -30,11 +30,6 @@
 /// free into it at a time. Sharded replay satisfies this trivially (one
 /// replica = one detector = one worker at a time).
 ///
-/// Fresh slabs are NUMA-placed on the carving thread's pinned node (mbind
-/// + first-touch, see support/Topology.h) so each replica's metadata is
-/// node-local to the worker replaying it; with pinning off, placement is
-/// skipped entirely.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef PACER_SUPPORT_ARENA_H
@@ -70,11 +65,6 @@ public:
   /// Slab allocations over the lifetime: how often the arena itself had
   /// to touch the general-purpose heap (test/diagnostic hook).
   uint64_t slabAllocations() const { return SlabAllocs; }
-
-  /// Slabs that received NUMA placement (mbind + first-touch) because the
-  /// carving thread was pinned to a node or a placement override was
-  /// active (support/Topology.h). 0 unless pinning/override is on.
-  uint64_t nodePlacedSlabs() const { return NodePlacedSlabs; }
 
   /// The arena bound to the current thread (null if none).
   static Arena *current();
@@ -131,7 +121,6 @@ private:
   size_t SlabBytesTotal = 0;
   uint64_t BlockAllocs = 0;
   uint64_t SlabAllocs = 0;
-  uint64_t NodePlacedSlabs = 0;
 };
 
 /// Stateless std-compatible allocator that routes through the current

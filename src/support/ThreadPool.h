@@ -105,26 +105,6 @@ unsigned defaultJobs();
 /// std::thread::hardware_concurrency with a floor of 1.
 unsigned hardwareJobs();
 
-/// Whether pool workers pin themselves to CPUs at startup (the first NUMA
-/// step on the roadmap: stop replicas migrating across cores mid-trial so
-/// their arena slabs stay cache- and node-local). Resolution order: an
-/// explicit setThreadPinning() call (the --pin-threads flag), else the
-/// PACER_PIN_THREADS environment variable (set and not "0"), else off.
-/// Pinning is best-effort: on platforms without an affinity API it is a
-/// no-op, and a failed pin is ignored.
-bool threadPinningEnabled();
-
-/// Programmatic override of PACER_PIN_THREADS (from --pin-threads).
-void setThreadPinning(bool Enabled);
-
-/// Best-effort: pins the calling thread to slot `Index` of the system pin
-/// plan (support/Topology.h) -- each NUMA node's CPUs are exhausted before
-/// the next node's, and on single-node hosts the plan degenerates to the
-/// old `Index % hardwareJobs()` assignment. A successful pin records the
-/// slot's node in the thread-local consulted by Arena slab placement.
-/// No-op where unsupported or when pinning is disabled.
-void pinCurrentThread(unsigned Index);
-
 /// Runs Fn(I) for I in [0, Count) on \p Jobs-way concurrency (a transient
 /// pool of Jobs - 1 workers plus the calling thread's share of the
 /// cursor). Jobs <= 1 runs the loop inline.

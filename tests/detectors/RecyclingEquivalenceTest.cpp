@@ -14,7 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "harness/TrialRunner.h"
+#include "runtime/AnalysisSession.h"
 #include "sim/TraceGenerator.h"
 #include "sim/Workloads.h"
 
@@ -47,7 +47,7 @@ std::vector<NamedSetup> detectorSetups() {
 /// The fields recycling must not change. Stats counters (join fast/slow
 /// splits, clock allocations) legitimately differ -- recycling exists to
 /// change those -- so equality is over the reported races.
-void expectSameRaces(const TrialResult &A, const TrialResult &B,
+void expectSameRaces(const AnalysisResult &A, const AnalysisResult &B,
                      const std::string &What) {
   EXPECT_EQ(A.Races, B.Races) << What;
   EXPECT_EQ(A.DynamicRaces, B.DynamicRaces) << What;
@@ -75,8 +75,12 @@ TEST(RecyclingEquivalenceTest, ReportsIdenticalAcrossDetectorsShardsEngines) {
             DetectorSetup On = Off;
             On.AccordionClocks = true;
 
-            TrialResult OffResult = runTrialOnTrace(T, Workload, Off, Seed);
-            TrialResult OnResult = runTrialOnTrace(T, Workload, On, Seed);
+            AnalysisResult OffResult =
+                AnalysisSession(Workload, trialRequest(Off, Seed))
+                    .analyzeTrace(T);
+            AnalysisResult OnResult =
+                AnalysisSession(Workload, trialRequest(On, Seed))
+                    .analyzeTrace(T);
             expectSameRaces(OffResult, OnResult, What);
             EXPECT_LE(OnResult.PeakSlotCount, OffResult.PeakSlotCount)
                 << What;
@@ -97,13 +101,15 @@ TEST(RecyclingEquivalenceTest, RecyclingOnMatchesSequentialAcrossEngines) {
     DetectorSetup Sequential = NS.Setup;
     Sequential.AccordionClocks = true;
     Sequential.Shards = 1;
-    TrialResult Baseline = runTrialOnTrace(T, Workload, Sequential, 5);
+    AnalysisResult Baseline =
+        AnalysisSession(Workload, trialRequest(Sequential, 5)).analyzeTrace(T);
     for (unsigned Shards : {2u, 4u}) {
       for (bool UseIndex : {false, true}) {
         DetectorSetup Setup = Sequential;
         Setup.Shards = Shards;
         Setup.ShardUseIndex = UseIndex;
-        TrialResult Sharded = runTrialOnTrace(T, Workload, Setup, 5);
+        AnalysisResult Sharded =
+            AnalysisSession(Workload, trialRequest(Setup, 5)).analyzeTrace(T);
         expectSameRaces(Baseline, Sharded,
                         NS.Name + "/shards=" + std::to_string(Shards) +
                             (UseIndex ? "/index" : "/scan"));
@@ -124,8 +130,10 @@ TEST(RecyclingEquivalenceTest, ThreadChurnShrinksPeakSlots) {
     DetectorSetup Off = NS.Setup;
     DetectorSetup On = Off;
     On.AccordionClocks = true;
-    TrialResult OffResult = runTrialOnTrace(T, Workload, Off, 2);
-    TrialResult OnResult = runTrialOnTrace(T, Workload, On, 2);
+    AnalysisResult OffResult =
+        AnalysisSession(Workload, trialRequest(Off, 2)).analyzeTrace(T);
+    AnalysisResult OnResult =
+        AnalysisSession(Workload, trialRequest(On, 2)).analyzeTrace(T);
     EXPECT_EQ(OffResult.PeakSlotCount, Workload.totalThreads()) << NS.Name;
     EXPECT_LT(OnResult.PeakSlotCount, OffResult.PeakSlotCount / 2)
         << NS.Name << ": recycling must bound slots by live threads";

@@ -3,7 +3,7 @@
 // Runtime-dispatch equivalence: every ISA path the dispatcher can select
 // on this build/host must be bit-identical to the scalar reference -- at
 // the kernel level (randomized differential tests per forced path) and
-// end to end (exact TrialResult equality for all four detectors, shards
+// end to end (exact AnalysisResult equality for all four detectors, shards
 // {1, 4}, under each forced path). Plus the force/override API semantics
 // the PACER_FORCE_ISA machinery is built on.
 //
@@ -15,7 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/ClockKernels.h"
-#include "harness/TrialRunner.h"
+#include "runtime/AnalysisSession.h"
 #include "sim/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -161,7 +161,7 @@ TEST_F(IsaDispatchEquivalenceTest, KernelsMatchScalarReferencePerPath) {
 }
 
 //===----------------------------------------------------------------------===//
-// End-to-end TrialResult equality per forced path
+// End-to-end AnalysisResult equality per forced path
 //===----------------------------------------------------------------------===//
 
 void expectSameStats(const DetectorStats &A, const DetectorStats &B) {
@@ -184,7 +184,7 @@ void expectSameStats(const DetectorStats &A, const DetectorStats &B) {
   EXPECT_EQ(A.ClockClones, B.ClockClones);
 }
 
-void expectSameResult(const TrialResult &A, const TrialResult &B) {
+void expectSameResult(const AnalysisResult &A, const AnalysisResult &B) {
   ASSERT_EQ(A.Races.size(), B.Races.size());
   for (const auto &[Key, Count] : A.Races) {
     auto It = B.Races.find(Key);
@@ -218,13 +218,14 @@ TEST_F(IsaDispatchEquivalenceTest, TrialResultsBitIdenticalAcrossPaths) {
     for (unsigned Shards : {1u, 4u}) {
       DetectorSetup Setup = NS.Setup;
       Setup.Shards = Shards;
+      AnalysisSession Session(Workload, trialRequest(Setup, Seed));
       ASSERT_TRUE(kernels::setForceIsa(Isa::Scalar));
-      TrialResult Reference = runTrial(Workload, Setup, Seed);
+      AnalysisResult Reference = Session.analyzeGenerated();
       for (Isa Kind : availableIsas()) {
         if (Kind == Isa::Scalar)
           continue;
         ASSERT_TRUE(kernels::setForceIsa(Kind));
-        TrialResult Forced = runTrial(Workload, Setup, Seed);
+        AnalysisResult Forced = Session.analyzeGenerated();
         kernels::clearForceIsa();
         SCOPED_TRACE(std::string(NS.Name) + " shards=" +
                      std::to_string(Shards) + " isa=" +

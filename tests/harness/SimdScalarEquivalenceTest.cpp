@@ -1,7 +1,7 @@
 //===- tests/harness/SimdScalarEquivalenceTest.cpp ------------------------==//
 //
 // End-to-end SIMD/scalar equivalence: a full trial run with the SIMD
-// clock kernels must produce a TrialResult *bit-identical* to the same
+// clock kernels must produce an AnalysisResult *bit-identical* to the same
 // trial with the kernels forced onto the always-correct scalar path --
 // for every detector, sequentially and sharded. This is the in-process
 // half of the guarantee; CI's PACER_DISABLE_SIMD build leg re-runs the
@@ -10,7 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/ClockKernels.h"
-#include "harness/TrialRunner.h"
+#include "runtime/AnalysisSession.h"
 #include "sim/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -42,7 +42,7 @@ void expectSameStats(const DetectorStats &A, const DetectorStats &B) {
   EXPECT_EQ(A.ClockClones, B.ClockClones);
 }
 
-void expectSameResult(const TrialResult &A, const TrialResult &B) {
+void expectSameResult(const AnalysisResult &A, const AnalysisResult &B) {
   ASSERT_EQ(A.Races.size(), B.Races.size());
   for (const auto &[Key, Count] : A.Races) {
     auto It = B.Races.find(Key);
@@ -85,10 +85,11 @@ void expectSimdScalarInvariant(const WorkloadSpec &Spec, uint64_t Seed) {
     for (unsigned Shards : {1u, 4u}) {
       DetectorSetup Setup = NS.Setup;
       Setup.Shards = Shards;
+      AnalysisSession Session(Workload, trialRequest(Setup, Seed));
       kernels::setForceScalarForTest(false);
-      TrialResult Simd = runTrial(Workload, Setup, Seed);
+      AnalysisResult Simd = Session.analyzeGenerated();
       kernels::setForceScalarForTest(true);
-      TrialResult Scalar = runTrial(Workload, Setup, Seed);
+      AnalysisResult Scalar = Session.analyzeGenerated();
       kernels::setForceScalarForTest(false);
       SCOPED_TRACE(std::string(NS.Name) + " shards=" +
                    std::to_string(Shards));

@@ -3,14 +3,14 @@
 // The bit-identity matrix for the trace read paths: one generated trace,
 // replayed as {in-memory text parse, in-memory binary read, mmap view,
 // bounded-window stream} x {1 shard, 4 shards}, must produce exactly the
-// same TrialResult for every detector. Also pins the pieces that make
+// same AnalysisResult for every detector. Also pins the pieces that make
 // that hold: Runtime::replayChunk is chunking-invariant, and
 // TraceIndex::Builder is chunking-invariant and equal to the one-shot
 // build.
 //
 //===----------------------------------------------------------------------==//
 
-#include "harness/TrialRunner.h"
+#include "runtime/AnalysisSession.h"
 #include "runtime/RaceLog.h"
 #include "runtime/Runtime.h"
 #include "runtime/TraceIndex.h"
@@ -51,7 +51,7 @@ void expectSameStats(const DetectorStats &A, const DetectorStats &B) {
   EXPECT_EQ(A.ClockClones, B.ClockClones);
 }
 
-void expectSameResult(const TrialResult &A, const TrialResult &B) {
+void expectSameResult(const AnalysisResult &A, const AnalysisResult &B) {
   ASSERT_EQ(A.Races.size(), B.Races.size());
   for (const auto &[Key, Count] : A.Races) {
     auto It = B.Races.find(Key);
@@ -107,13 +107,11 @@ TEST(StreamingReplayTest, AllReadPathsMatchForAllDetectors) {
       DetectorSetup Setup = NS.Setup;
       Setup.Shards = Shards;
 
-      TrialResult Baseline = runTrialOnTrace(T, Workload, Setup, Seed);
-      expectSameResult(
-          Baseline, runTrialOnTrace(FromText.T, Workload, Setup, Seed));
-      expectSameResult(
-          Baseline, runTrialOnTrace(FromBinary.T, Workload, Setup, Seed));
-      expectSameResult(
-          Baseline, runTrialOnTrace(View.actions(), Workload, Setup, Seed));
+      AnalysisSession Session(Workload, trialRequest(Setup, Seed));
+      AnalysisResult Baseline = Session.analyzeTrace(T);
+      expectSameResult(Baseline, Session.analyzeTrace(FromText.T));
+      expectSameResult(Baseline, Session.analyzeTrace(FromBinary.T));
+      expectSameResult(Baseline, Session.analyzeTrace(View.actions()));
 
       // The streaming path is sequential; its result must match the
       // sharded in-memory runs too (sharding is bit-identical).
@@ -121,10 +119,8 @@ TEST(StreamingReplayTest, AllReadPathsMatchForAllDetectors) {
         for (const std::string &Path : {TextPath, BinPath}) {
           StreamingTraceReader Reader(Path, Window);
           ASSERT_TRUE(Reader.ok()) << Reader.error();
-          std::string Error;
-          TrialResult Streamed =
-              runTrialOnStream(Reader, Workload, Setup, Seed, &Error);
-          ASSERT_TRUE(Error.empty()) << Error;
+          AnalysisResult Streamed = Session.analyzeStream(Reader);
+          ASSERT_TRUE(Streamed.Ok) << Streamed.Error;
           expectSameResult(Baseline, Streamed);
         }
       }
@@ -141,7 +137,8 @@ TEST(StreamingReplayTest, ReplayChunkIsChunkingInvariant) {
 
   for (const NamedSetup &NS : allSetups()) {
     SCOPED_TRACE(NS.Name);
-    TrialResult Baseline = runTrialOnTrace(T, Workload, NS.Setup, 3);
+    AnalysisResult Baseline =
+        AnalysisSession(Workload, trialRequest(NS.Setup, 3)).analyzeTrace(T);
     for (size_t Chunk : {size_t(1), size_t(13), size_t(257)}) {
       RaceLog Log;
       std::unique_ptr<Detector> D =
@@ -211,14 +208,13 @@ TEST(StreamingReplayTest, StreamHonoursElideLocalAccesses) {
 
   DetectorSetup Setup = fastTrackSetup();
   Setup.ElideLocalAccesses = true;
-  TrialResult Baseline = runTrialOnTrace(T, Workload, Setup, Seed);
+  AnalysisSession Session(Workload, trialRequest(Setup, Seed));
+  AnalysisResult Baseline = Session.analyzeTrace(T);
 
   StreamingTraceReader Reader(Path, 61);
   ASSERT_TRUE(Reader.ok()) << Reader.error();
-  std::string Error;
-  TrialResult Streamed =
-      runTrialOnStream(Reader, Workload, Setup, Seed, &Error);
-  ASSERT_TRUE(Error.empty()) << Error;
+  AnalysisResult Streamed = Session.analyzeStream(Reader);
+  ASSERT_TRUE(Streamed.Ok) << Streamed.Error;
   expectSameResult(Baseline, Streamed);
   std::remove(Path.c_str());
 }
@@ -226,10 +222,11 @@ TEST(StreamingReplayTest, StreamHonoursElideLocalAccesses) {
 TEST(StreamingReplayTest, StreamErrorSurfacesThroughTrialRunner) {
   CompiledWorkload Workload(tinyTestWorkload());
   StreamingTraceReader Reader("/nonexistent/path/x.trace");
-  std::string Error;
-  TrialResult Result =
-      runTrialOnStream(Reader, Workload, fastTrackSetup(), 1, &Error);
-  EXPECT_FALSE(Error.empty());
+  AnalysisResult Result =
+      AnalysisSession(Workload, trialRequest(fastTrackSetup(), 1))
+          .analyzeStream(Reader);
+  EXPECT_FALSE(Result.Ok);
+  EXPECT_FALSE(Result.Error.empty());
   EXPECT_EQ(Result.TraceEvents, 0u);
 }
 

@@ -1,6 +1,12 @@
 //===- tests/harness/TrialRunnerTest.cpp ----------------------------------==//
+//
+// One experiment trial: generate the workload's trace for a seed and
+// replay it through AnalysisSession::analyzeGenerated, as the detection,
+// ablation and operation-count studies do for every trial.
+//
+//===----------------------------------------------------------------------===//
 
-#include "harness/TrialRunner.h"
+#include "runtime/AnalysisSession.h"
 
 #include "sim/Workloads.h"
 
@@ -12,7 +18,9 @@ namespace {
 
 TEST(TrialRunnerTest, FastTrackFindsCertainRacesInTinyWorkload) {
   CompiledWorkload Workload(tinyTestWorkload());
-  TrialResult Result = runTrial(Workload, fastTrackSetup(), 1);
+  AnalysisResult Result =
+      AnalysisSession(Workload, trialRequest(fastTrackSetup(), 1))
+          .analyzeGenerated();
   EXPECT_GT(Result.TraceEvents, 1000u);
   EXPECT_GT(Result.DynamicRaces, 0u);
   EXPECT_FALSE(Result.Races.empty());
@@ -22,7 +30,9 @@ TEST(TrialRunnerTest, FastTrackFindsCertainRacesInTinyWorkload) {
 
 TEST(TrialRunnerTest, ReportedKeysAreRacyPairs) {
   CompiledWorkload Workload(tinyTestWorkload());
-  TrialResult Result = runTrial(Workload, fastTrackSetup(), 2);
+  AnalysisResult Result =
+      AnalysisSession(Workload, trialRequest(fastTrackSetup(), 2))
+          .analyzeGenerated();
   std::set<RaceKey> Planted;
   for (uint32_t Race = 0; Race < Workload.numRaces(); ++Race)
     Planted.insert(Workload.racyKey(Race));
@@ -36,15 +46,21 @@ TEST(TrialRunnerTest, ReportedKeysAreRacyPairs) {
 
 TEST(TrialRunnerTest, PacerAtZeroFindsNothing) {
   CompiledWorkload Workload(tinyTestWorkload());
-  TrialResult Result = runTrial(Workload, pacerSetup(0.0), 1);
+  AnalysisResult Result =
+      AnalysisSession(Workload, trialRequest(pacerSetup(0.0), 1))
+          .analyzeGenerated();
   EXPECT_EQ(Result.DynamicRaces, 0u);
   EXPECT_DOUBLE_EQ(Result.EffectiveAccessRate, 0.0);
 }
 
 TEST(TrialRunnerTest, PacerAtFullRateMatchesFastTrackKeys) {
   CompiledWorkload Workload(tinyTestWorkload());
-  TrialResult FastTrack = runTrial(Workload, fastTrackSetup(), 3);
-  TrialResult Pacer = runTrial(Workload, pacerSetup(1.0), 3);
+  AnalysisResult FastTrack =
+      AnalysisSession(Workload, trialRequest(fastTrackSetup(), 3))
+          .analyzeGenerated();
+  AnalysisResult Pacer =
+      AnalysisSession(Workload, trialRequest(pacerSetup(1.0), 3))
+          .analyzeGenerated();
   EXPECT_EQ(FastTrack.Races.size(), Pacer.Races.size());
   for (const auto &[Key, Count] : FastTrack.Races)
     EXPECT_EQ(Pacer.dynamicCount(Key), Count);
@@ -53,8 +69,12 @@ TEST(TrialRunnerTest, PacerAtFullRateMatchesFastTrackKeys) {
 
 TEST(TrialRunnerTest, DeterministicAcrossRuns) {
   CompiledWorkload Workload(tinyTestWorkload());
-  TrialResult A = runTrial(Workload, pacerSetup(0.3), 5);
-  TrialResult B = runTrial(Workload, pacerSetup(0.3), 5);
+  AnalysisResult A =
+      AnalysisSession(Workload, trialRequest(pacerSetup(0.3), 5))
+          .analyzeGenerated();
+  AnalysisResult B =
+      AnalysisSession(Workload, trialRequest(pacerSetup(0.3), 5))
+          .analyzeGenerated();
   EXPECT_EQ(A.DynamicRaces, B.DynamicRaces);
   EXPECT_EQ(A.Races, B.Races);
   EXPECT_DOUBLE_EQ(A.EffectiveAccessRate, B.EffectiveAccessRate);
@@ -64,7 +84,8 @@ TEST(TrialRunnerTest, PacerPopulatesSamplingFields) {
   CompiledWorkload Workload(tinyTestWorkload());
   DetectorSetup Setup = pacerSetup(0.5);
   Setup.Sampling.PeriodBytes = 16 * 1024;
-  TrialResult Result = runTrial(Workload, Setup, 7);
+  AnalysisResult Result =
+      AnalysisSession(Workload, trialRequest(Setup, 7)).analyzeGenerated();
   EXPECT_GT(Result.Boundaries, 0u);
   EXPECT_GT(Result.EffectiveAccessRate, 0.0);
   EXPECT_GT(Result.EffectiveSyncRate, 0.0);
@@ -72,7 +93,9 @@ TEST(TrialRunnerTest, PacerPopulatesSamplingFields) {
 
 TEST(TrialRunnerTest, LiteRacePopulatesEffectiveRate) {
   CompiledWorkload Workload(tinyTestWorkload());
-  TrialResult Result = runTrial(Workload, literaceSetup(100), 1);
+  AnalysisResult Result =
+      AnalysisSession(Workload, trialRequest(literaceSetup(100), 1))
+          .analyzeGenerated();
   EXPECT_GT(Result.LiteRaceEffectiveRate, 0.0);
   EXPECT_LE(Result.LiteRaceEffectiveRate, 1.0);
 }
@@ -91,7 +114,9 @@ TEST(TrialRunnerTest, MakeDetectorProducesEveryKind) {
 
 TEST(TrialRunnerTest, NullDetectorBaselineIsCheapest) {
   CompiledWorkload Workload(tinyTestWorkload());
-  TrialResult Null = runTrial(Workload, nullSetup(), 1);
+  AnalysisResult Null =
+      AnalysisSession(Workload, trialRequest(nullSetup(), 1))
+          .analyzeGenerated();
   EXPECT_EQ(Null.DynamicRaces, 0u);
   EXPECT_EQ(Null.FinalMetadataBytes, 0u);
 }
@@ -104,8 +129,10 @@ TEST(TrialRunnerTest, EscapeAnalysisElisionKeepsRacesDropsLocals) {
   DetectorSetup Plain = fastTrackSetup();
   DetectorSetup Elided = fastTrackSetup();
   Elided.ElideLocalAccesses = true;
-  TrialResult WithLocals = runTrial(Workload, Plain, 4);
-  TrialResult WithoutLocals = runTrial(Workload, Elided, 4);
+  AnalysisResult WithLocals =
+      AnalysisSession(Workload, trialRequest(Plain, 4)).analyzeGenerated();
+  AnalysisResult WithoutLocals =
+      AnalysisSession(Workload, trialRequest(Elided, 4)).analyzeGenerated();
   EXPECT_EQ(WithLocals.Races, WithoutLocals.Races);
   EXPECT_LT(WithoutLocals.Stats.totalReads() +
                 WithoutLocals.Stats.totalWrites(),
@@ -117,8 +144,12 @@ TEST(TrialRunnerTest, EscapeAnalysisElisionKeepsRacesDropsLocals) {
 TEST(TrialRunnerTest, GenericAndFastTrackAgreeOnRaceExistence) {
   CompiledWorkload Workload(tinyTestWorkload());
   for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
-    TrialResult Generic = runTrial(Workload, genericSetup(), Seed);
-    TrialResult FastTrack = runTrial(Workload, fastTrackSetup(), Seed);
+    AnalysisResult Generic =
+        AnalysisSession(Workload, trialRequest(genericSetup(), Seed))
+            .analyzeGenerated();
+    AnalysisResult FastTrack =
+        AnalysisSession(Workload, trialRequest(fastTrackSetup(), Seed))
+            .analyzeGenerated();
     EXPECT_EQ(Generic.Races.empty(), FastTrack.Races.empty());
   }
 }

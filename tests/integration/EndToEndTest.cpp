@@ -22,7 +22,9 @@ namespace {
 TEST(EndToEndTest, EveryPaperWorkloadRunsAndFindsRaces) {
   for (const WorkloadSpec &Spec : paperWorkloads()) {
     CompiledWorkload Workload(scaleWorkload(Spec, 0.1));
-    TrialResult Result = runTrial(Workload, fastTrackSetup(), 1);
+    AnalysisResult Result =
+        AnalysisSession(Workload, trialRequest(fastTrackSetup(), 1))
+            .analyzeGenerated();
     EXPECT_GT(Result.TraceEvents, 10000u) << Spec.Name;
     EXPECT_GT(Result.DynamicRaces, 0u) << Spec.Name;
     EXPECT_GT(Result.Stats.SyncOps, 100u) << Spec.Name;
@@ -53,7 +55,8 @@ TEST(EndToEndTest, Table3ShapeAtThreePercent) {
   CompiledWorkload Workload(scaleWorkload(xalanModel(), 0.3));
   DetectorSetup Setup = pacerSetup(0.03);
   Setup.Sampling.PeriodBytes = 1024 * 1024;
-  TrialResult Result = runTrial(Workload, Setup, 11);
+  AnalysisResult Result =
+      AnalysisSession(Workload, trialRequest(Setup, 11)).analyzeGenerated();
   const DetectorStats &Stats = Result.Stats;
   EXPECT_GT(Stats.FastJoinsNonSampling, 2 * Stats.SlowJoinsNonSampling);
   EXPECT_GT(Stats.ShallowCopiesNonSampling,
@@ -67,7 +70,9 @@ TEST(EndToEndTest, EffectiveRateNearSpecifiedOnPaperModel) {
   DetectorSetup Setup = pacerSetup(0.1);
   RunningStat Effective;
   for (uint64_t Seed = 1; Seed <= 5; ++Seed)
-    Effective.add(runTrial(Workload, Setup, Seed).EffectiveAccessRate);
+    Effective.add(AnalysisSession(Workload, trialRequest(Setup, Seed))
+                      .analyzeGenerated()
+                      .EffectiveAccessRate);
   EXPECT_NEAR(Effective.mean(), 0.1, 0.05);
 }
 
@@ -89,7 +94,9 @@ TEST(EndToEndTest, HsqldbManyThreadsStillLegalAndDetectable) {
   Trace T = generateTrace(Workload, 2);
   TraceProfile Profile = profileTrace(T);
   EXPECT_GT(Profile.Forks, 400u);
-  TrialResult Result = runTrial(Workload, fastTrackSetup(), 2);
+  AnalysisResult Result =
+      AnalysisSession(Workload, trialRequest(fastTrackSetup(), 2))
+          .analyzeGenerated();
   EXPECT_GT(Result.Races.size(), 10u)
       << "hsqldb model: most certain races manifest";
 }

@@ -9,7 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "harness/DetectionExperiment.h"
-#include "harness/TrialRunner.h"
+#include "runtime/AnalysisSession.h"
 #include "sim/Workloads.h"
 #include "support/Stats.h"
 
@@ -57,11 +57,13 @@ RateCount measure(const CompiledWorkload &Workload, RaceKey Key, double Rate,
   DetectorSetup Truth = fastTrackSetup();
   for (uint32_t Trial = 0; Trial < Trials; ++Trial) {
     uint64_t Seed = BaseSeed + Trial;
-    TrialResult Full = runTrial(Workload, Truth, Seed);
+    AnalysisResult Full =
+        AnalysisSession(Workload, trialRequest(Truth, Seed)).analyzeGenerated();
     if (!Full.sawRace(Key))
       continue; // The race did not occur this trial (observer effect).
     ++Count.Occurred;
-    TrialResult Sampled = runTrial(Workload, Pacer, Seed);
+    AnalysisResult Sampled =
+        AnalysisSession(Workload, trialRequest(Pacer, Seed)).analyzeGenerated();
     if (Sampled.sawRace(Key))
       ++Count.Detected;
   }
@@ -109,7 +111,9 @@ TEST(ProportionalityTest, DynamicCountsScaleWithRate) {
                         uint64_t BaseSeed) {
     uint64_t Total = 0;
     for (uint32_t Trial = 0; Trial < Trials; ++Trial)
-      Total += runTrial(Workload, Setup, BaseSeed + Trial).dynamicCount(Key);
+      Total += AnalysisSession(Workload, trialRequest(Setup, BaseSeed + Trial))
+                   .analyzeGenerated()
+                   .dynamicCount(Key);
     return static_cast<double>(Total) / Trials;
   };
   DetectorSetup Half = pacerSetup(0.5);

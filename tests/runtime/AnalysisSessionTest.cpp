@@ -1,19 +1,16 @@
 //===- tests/runtime/AnalysisSessionTest.cpp ------------------------------==//
 //
-// Regression pins for the AnalysisSession facade: the legacy entry points
-// (runTrial / runTrialOnTrace / runTrialOnStream, now thin wrappers) are
-// exactly equal to direct session calls for every detector kind at shard
-// counts 1 and 4, and the four analyze* paths over the same input --
+// Regression pins for the AnalysisSession facade: for every detector kind
+// at shard counts 1 and 4, the four analyze* paths over the same input --
 // in-memory trace, whole-file load, streamed file, explicit reader --
 // agree bit-for-bit on everything the analysis computes. These equalities
-// are what made consolidating four replay entry points behind one facade
-// safe, and they must survive future refactors of either layer.
+// are what let one facade serve every replay entry point, and they must
+// survive future refactors of either layer.
 //
 //===----------------------------------------------------------------------===//
 
 #include "runtime/AnalysisSession.h"
 
-#include "harness/TrialRunner.h"
 #include "sim/TraceGenerator.h"
 #include "sim/TraceIO.h"
 #include "sim/Workloads.h"
@@ -50,8 +47,10 @@ std::vector<RaceKey> reportKeys(const std::vector<RaceReport> &Reports) {
   return Keys;
 }
 
-void expectSameTrial(const TrialResult &A, const TrialResult &B,
-                     const std::string &What) {
+void expectSameAnalysis(const AnalysisResult &A, const AnalysisResult &B,
+                        const std::string &What) {
+  ASSERT_TRUE(A.Ok) << What << ": " << A.Error;
+  ASSERT_TRUE(B.Ok) << What << ": " << B.Error;
   EXPECT_EQ(A.Races, B.Races) << What;
   EXPECT_EQ(A.DynamicRaces, B.DynamicRaces) << What;
   EXPECT_TRUE(sameStats(A.Stats, B.Stats)) << What;
@@ -61,13 +60,6 @@ void expectSameTrial(const TrialResult &A, const TrialResult &B,
       << What;
   EXPECT_EQ(A.Boundaries, B.Boundaries) << What;
   EXPECT_EQ(A.TraceEvents, B.TraceEvents) << What;
-}
-
-void expectSameAnalysis(const AnalysisResult &A, const AnalysisResult &B,
-                        const std::string &What) {
-  ASSERT_TRUE(A.Ok) << What << ": " << A.Error;
-  ASSERT_TRUE(B.Ok) << What << ": " << B.Error;
-  expectSameTrial(A.trial(), B.trial(), What);
   EXPECT_EQ(reportKeys(A.SampleReports), reportKeys(B.SampleReports))
       << What;
 }
@@ -107,59 +99,6 @@ AnalysisRequest requestFor(DetectorSetup Setup, unsigned Shards,
   Request.Seed = Seed;
   Request.CollectReports = CollectReports;
   return Request;
-}
-
-TEST(AnalysisSessionTest, LegacyWrappersEqualDirectSessionCalls) {
-  CompiledWorkload Workload(tinyTestWorkload());
-  const uint64_t Seed = 11;
-  Trace T = generateTrace(Workload, Seed);
-
-  for (const auto &[Name, Setup] : detectorMatrix()) {
-    for (unsigned Shards : {1u, 4u}) {
-      DetectorSetup Sharded = Setup;
-      Sharded.Shards = Shards;
-      Sharded.ShardJobs = 1;
-      const std::string What = Name + " K=" + std::to_string(Shards);
-
-      // The wrappers run with CollectReports off (the legacy API never
-      // exposed reports); mirror that in the direct calls.
-      AnalysisSession Session(
-          Workload, requestFor(Setup, Shards, Seed, /*CollectReports=*/false));
-
-      expectSameTrial(runTrial(Workload, Sharded, Seed),
-                      Session.analyzeGenerated().trial(),
-                      What + " runTrial");
-      expectSameTrial(runTrialOnTrace(T, Workload, Sharded, Seed),
-                      Session.analyzeTrace(T).trial(),
-                      What + " runTrialOnTrace");
-    }
-  }
-}
-
-TEST(AnalysisSessionTest, StreamWrapperEqualsDirectStreamCall) {
-  CompiledWorkload Workload(tinyTestWorkload());
-  const uint64_t Seed = 13;
-  Trace T = generateTrace(Workload, Seed);
-  std::string Path =
-      ::testing::TempDir() + "/pacer_session_stream.btrace";
-  ASSERT_TRUE(writeTraceFileBinary(Path, T));
-
-  for (const auto &[Name, Setup] : detectorMatrix()) {
-    StreamingTraceReader WrapperReader(Path, /*WindowActions=*/512);
-    ASSERT_TRUE(WrapperReader.ok()) << WrapperReader.error();
-    std::string Error;
-    TrialResult Legacy =
-        runTrialOnStream(WrapperReader, Workload, Setup, Seed, &Error);
-    EXPECT_TRUE(Error.empty()) << Error;
-
-    StreamingTraceReader SessionReader(Path, 512);
-    AnalysisSession Session(Workload,
-                            requestFor(Setup, 1, Seed, false));
-    AnalysisResult Direct = Session.analyzeStream(SessionReader);
-    ASSERT_TRUE(Direct.Ok) << Direct.Error;
-    expectSameTrial(Legacy, Direct.trial(), Name + " stream");
-  }
-  std::remove(Path.c_str());
 }
 
 TEST(AnalysisSessionTest, AllInputPathsAgreeBitForBit) {

@@ -16,7 +16,7 @@
 #include "detectors/FastTrackDetector.h"
 #include "detectors/LiteRaceDetector.h"
 #include "detectors/PacerDetector.h"
-#include "harness/TrialRunner.h"
+#include "runtime/AnalysisSession.h"
 #include "runtime/RaceLog.h"
 #include "runtime/Runtime.h"
 #include "runtime/ShardedReplay.h"
@@ -53,7 +53,7 @@ void expectSameStats(const DetectorStats &A, const DetectorStats &B) {
   EXPECT_EQ(A.ClockClones, B.ClockClones);
 }
 
-void expectSameResult(const TrialResult &A, const TrialResult &B) {
+void expectSameResult(const AnalysisResult &A, const AnalysisResult &B) {
   ASSERT_EQ(A.Races.size(), B.Races.size());
   for (const auto &[Key, Count] : A.Races) {
     auto It = B.Races.find(Key);
@@ -93,7 +93,9 @@ void expectShardInvariant(const WorkloadSpec &Spec, uint64_t Seed,
   for (const NamedSetup &NS : allSetups()) {
     DetectorSetup Sequential = NS.Setup;
     Sequential.Shards = 1;
-    TrialResult Baseline = runTrial(Workload, Sequential, Seed);
+    AnalysisResult Baseline =
+        AnalysisSession(Workload, trialRequest(Sequential, Seed))
+            .analyzeGenerated();
     // Both sharded engines -- full-scan replicas and the TraceIndex walk
     // -- must reproduce the sequential result exactly.
     for (bool UseIndex : {false, true}) {
@@ -101,7 +103,9 @@ void expectShardInvariant(const WorkloadSpec &Spec, uint64_t Seed,
         DetectorSetup Sharded = NS.Setup;
         Sharded.Shards = Shards;
         Sharded.ShardUseIndex = UseIndex;
-        TrialResult Result = runTrial(Workload, Sharded, Seed);
+        AnalysisResult Result =
+            AnalysisSession(Workload, trialRequest(Sharded, Seed))
+                .analyzeGenerated();
         SCOPED_TRACE(std::string(NS.Name) + " shards=" +
                      std::to_string(Shards) +
                      (UseIndex ? " indexed" : " full-scan"));
@@ -133,10 +137,14 @@ TEST(ShardedReplayTest, ShardCountBeyondVariableCountStillIdentical) {
   // nothing but must still replay synchronization identically.
   CompiledWorkload Workload(tinyTestWorkload());
   DetectorSetup Sequential = fastTrackSetup();
-  TrialResult Baseline = runTrial(Workload, Sequential, /*Seed=*/3);
+  AnalysisResult Baseline =
+      AnalysisSession(Workload, trialRequest(Sequential, /*Seed=*/3))
+          .analyzeGenerated();
   DetectorSetup Sharded = Sequential;
   Sharded.Shards = 64;
-  expectSameResult(Baseline, runTrial(Workload, Sharded, /*Seed=*/3));
+  expectSameResult(Baseline,
+                   AnalysisSession(Workload, trialRequest(Sharded, /*Seed=*/3))
+                       .analyzeGenerated());
 }
 
 TEST(ShardedReplayTest, ShardJobsInvariance) {
@@ -148,11 +156,17 @@ TEST(ShardedReplayTest, ShardJobsInvariance) {
   Setup.Shards = 4;
 
   Setup.ShardJobs = 1;
-  TrialResult OneJob = runTrial(Workload, Setup, /*Seed=*/21);
+  AnalysisResult OneJob =
+      AnalysisSession(Workload, trialRequest(Setup, /*Seed=*/21))
+          .analyzeGenerated();
   Setup.ShardJobs = 0; // Auto: one job per shard.
-  TrialResult AutoJobs = runTrial(Workload, Setup, /*Seed=*/21);
+  AnalysisResult AutoJobs =
+      AnalysisSession(Workload, trialRequest(Setup, /*Seed=*/21))
+          .analyzeGenerated();
   Setup.ShardJobs = 9;
-  TrialResult ManyJobs = runTrial(Workload, Setup, /*Seed=*/21);
+  AnalysisResult ManyJobs =
+      AnalysisSession(Workload, trialRequest(Setup, /*Seed=*/21))
+          .analyzeGenerated();
 
   expectSameResult(OneJob, AutoJobs);
   expectSameResult(OneJob, ManyJobs);
@@ -164,9 +178,13 @@ TEST(ShardedReplayTest, ElidedLocalAccessesShardIdentically) {
   CompiledWorkload Workload(mediumTestWorkload());
   DetectorSetup Setup = fastTrackSetup();
   Setup.ElideLocalAccesses = true;
-  TrialResult Baseline = runTrial(Workload, Setup, /*Seed=*/17);
+  AnalysisResult Baseline =
+      AnalysisSession(Workload, trialRequest(Setup, /*Seed=*/17))
+          .analyzeGenerated();
   Setup.Shards = 4;
-  expectSameResult(Baseline, runTrial(Workload, Setup, /*Seed=*/17));
+  expectSameResult(Baseline,
+                   AnalysisSession(Workload, trialRequest(Setup, /*Seed=*/17))
+                       .analyzeGenerated());
 }
 
 //===----------------------------------------------------------------------===//

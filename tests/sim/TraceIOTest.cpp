@@ -2,7 +2,7 @@
 
 #include "sim/TraceIO.h"
 
-#include "harness/TrialRunner.h"
+#include "runtime/AnalysisSession.h"
 #include "sim/StreamingTraceReader.h"
 #include "sim/TraceGenerator.h"
 #include "sim/TraceView.h"
@@ -437,9 +437,9 @@ TEST(TraceIOTest, ReplayOfParsedTraceFindsSameRaces) {
   TraceParseResult Parsed = parseTrace(serializeTrace(Original));
   ASSERT_TRUE(Parsed.Ok);
 
-  TrialResult Live = runTrialOnTrace(Original, Workload, fastTrackSetup(), 1);
-  TrialResult Offline =
-      runTrialOnTrace(Parsed.T, Workload, fastTrackSetup(), 1);
+  AnalysisSession Session(Workload, trialRequest(fastTrackSetup(), 1));
+  AnalysisResult Live = Session.analyzeTrace(Original);
+  AnalysisResult Offline = Session.analyzeTrace(Parsed.T);
   EXPECT_EQ(Live.Races, Offline.Races);
 }
 

@@ -42,7 +42,6 @@
 #include "support/Table.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
-#include "support/Topology.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -91,12 +90,9 @@ OptionRegistry buildRegistry() {
       .addString("shards", "1",
                  "variable shards per trace replay: a count; 'auto' = 1 "
                  "(sequential replay)")
-      .addFlag("pin-threads",
-               "pin pool workers to CPUs (also PACER_PIN_THREADS=1); "
-               "best-effort, no-op where unsupported")
       .addFlag("cpu-info",
-               "print resolved kernel ISA, CPU/NUMA topology, and the "
-               "worker pin plan, then exit")
+               "print the resolved and detected kernel ISA and the "
+               "compiled kernel paths, then exit")
       .addFlag("submit",
                "send the trace files to a racedetectd daemon instead of "
                "analysing locally")
@@ -375,13 +371,10 @@ int daemonStatsMode(const OptionRegistry &R) {
   return 0;
 }
 
-/// The one-stop hardware diagnostic: what the dispatcher resolved, what
-/// it could have picked, and where workers/slabs would land with pinning
-/// on.
-int cpuInfoMode(const OptionRegistry &R) {
+/// The hardware diagnostic: what the kernel dispatcher resolved and what
+/// it could have picked.
+int cpuInfoMode() {
   using kernels::Isa;
-  if (R.getBool("pin-threads"))
-    setThreadPinning(true);
   std::string Compiled;
   for (Isa Kind :
        {Isa::Scalar, Isa::Sse2, Isa::Neon, Isa::Avx2, Isa::Avx512}) {
@@ -394,10 +387,6 @@ int cpuInfoMode(const OptionRegistry &R) {
   std::printf("kernel isa: %s (detected %s, compiled %s)\n",
               kernels::activeIsa(),
               kernels::isaName(kernels::detectedIsa()), Compiled.c_str());
-  std::printf("topology: %s\n", topo::summary().c_str());
-  std::printf("pinning: %s (--pin-threads / PACER_PIN_THREADS=1)\n",
-              threadPinningEnabled() ? "on" : "off");
-  std::printf("pin plan: %s\n", topo::planSummary(16).c_str());
   return 0;
 }
 
@@ -409,7 +398,7 @@ int main(int Argc, char **Argv) {
     return R.helpRequested() ? 0 : 2;
 
   if (R.getBool("cpu-info"))
-    return cpuInfoMode(R);
+    return cpuInfoMode();
   if (R.has("generate"))
     return generateMode(R);
   if (R.getBool("submit"))
@@ -443,11 +432,6 @@ int main(int Argc, char **Argv) {
                     : static_cast<unsigned>(std::min<size_t>(
                           Files.size(), hardwareJobs()));
   Setup.Shards = parseShardCount(R.getString("shards"));
-  if (R.getBool("pin-threads"))
-    setThreadPinning(true);
-  if (threadPinningEnabled())
-    std::fprintf(stderr, "[pin] worker CPU affinity on (%u cpus)\n",
-                 hardwareJobs());
 
   AnalysisRequest Request;
   Request.Setup = Setup;

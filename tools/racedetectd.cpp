@@ -26,8 +26,6 @@
 #include "runtime/IngestServer.h"
 #include "runtime/TraceIndex.h"
 #include "support/CommandLine.h"
-#include "support/ThreadPool.h"
-#include "support/Topology.h"
 
 #include <atomic>
 #include <chrono>
@@ -155,9 +153,8 @@ int main(int Argc, char **Argv) {
   // One line per surface, so scripts (and the integration test) can scrape
   // the ephemeral TCP port and know the daemon is ready.
   std::printf("racedetectd: pid %d\n", static_cast<int>(::getpid()));
-  std::printf("racedetectd: hardware: kernel isa %s, %s, pinning %s\n",
-              kernels::activeIsa(), topo::summary().c_str(),
-              threadPinningEnabled() ? "on" : "off");
+  std::printf("racedetectd: hardware: kernel isa %s\n",
+              kernels::activeIsa());
   if (!Config.UnixSocketPath.empty())
     std::printf("racedetectd: listening on %s\n",
                 Config.UnixSocketPath.c_str());
