@@ -32,7 +32,9 @@
 /// remapGather permits Dst == Src only for an ascending in-place pack
 /// (Idx[I] >= I for all I), which is exactly the accordion-compaction
 /// shape. No kernel requires alignment -- clocks may live at arbitrary
-/// offsets inside detector metadata (SSO buffers, arena blocks).
+/// offsets inside detector metadata (inline SSO buffers). Spilled clock
+/// words come from operator new[], which returns 16-byte aligned blocks
+/// on the supported 64-bit hosts.
 ///
 //===----------------------------------------------------------------------===//
 

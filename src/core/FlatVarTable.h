@@ -19,10 +19,9 @@
 ///
 /// Capacity is allocated lazily: an empty table owns no heap memory,
 /// matching PACER's space story where an idle detector charges nothing.
-/// The slot array is a raw block from the current thread's bound Arena
-/// (slots are placement-constructed and destroyed explicitly), so the
-/// grow/shrink oscillation PACER's sampling churn induces recycles blocks
-/// through the arena's size-class free lists instead of malloc.
+/// The slot array comes from the standard allocator; MinCapacity and the
+/// 1/8 shrink threshold damp the grow/shrink oscillation PACER's sampling
+/// churn induces.
 ///
 /// The key type defaults to VarId but may be any unsigned integer (the
 /// LiteRace sampler table keys by a 64-bit method/thread pair). Keys must
@@ -36,12 +35,11 @@
 #define PACER_CORE_FLATVARTABLE_H
 
 #include "core/Ids.h"
-#include "support/Arena.h"
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <new>
+#include <memory>
 #include <type_traits>
 #include <utility>
 
@@ -65,7 +63,6 @@ public:
   FlatVarTable() = default;
   FlatVarTable(const FlatVarTable &) = delete;
   FlatVarTable &operator=(const FlatVarTable &) = delete;
-  ~FlatVarTable() { destroySlots(Slots, Capacity); }
 
   /// Number of live entries.
   size_t size() const { return Live; }
@@ -204,21 +201,6 @@ private:
     return S.Key != EmptyKey && S.Key != TombstoneKey;
   }
 
-  /// Allocates and default-constructs a slot array from the bound arena.
-  static Slot *allocSlots(size_t N) {
-    auto *Out = static_cast<Slot *>(Arena::allocBlock(N * sizeof(Slot)));
-    for (size_t I = 0; I < N; ++I)
-      new (&Out[I]) Slot();
-    return Out;
-  }
-
-  /// Destroys the slots and returns the block to its arena.
-  static void destroySlots(Slot *S, size_t N) {
-    for (size_t I = 0; I < N; ++I)
-      S[I].~Slot();
-    Arena::freeBlock(S);
-  }
-
   /// Shrinks the slot array when occupancy drops to <= 1/8, releasing the
   /// space a mass discard freed. Never shrinks below MinCapacity: the
   /// non-sampling discard path oscillates between empty and a few entries,
@@ -249,9 +231,9 @@ private:
     size_t NewCapacity = MinCapacity;
     while (NewCapacity * 3 < (Live + 1) * 8) // Target load <= 3/8.
       NewCapacity *= 2;
-    Slot *OldSlots = Slots;
+    std::unique_ptr<Slot[]> OldSlots = std::move(Slots);
     size_t OldCapacity = Capacity;
-    Slots = allocSlots(NewCapacity);
+    Slots = std::make_unique<Slot[]>(NewCapacity);
     Capacity = NewCapacity;
     Shift = 64 - static_cast<unsigned>(__builtin_ctzll(NewCapacity));
     Used = Live;
@@ -267,10 +249,9 @@ private:
       Slots[J].Key = S.Key;
       Slots[J].Value = std::move(S.Value);
     }
-    destroySlots(OldSlots, OldCapacity);
   }
 
-  Slot *Slots = nullptr;
+  std::unique_ptr<Slot[]> Slots;
   size_t Capacity = 0;
   /// 64 - log2(Capacity): slotFor() keeps this many top product bits.
   /// Meaningless while Capacity == 0 (every probe path checks Live or

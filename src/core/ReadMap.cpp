@@ -26,26 +26,22 @@ SiteId ReadMap::epochSite() const {
 void ReadMap::clear() {
   E = Epoch::none();
   ESite = InvalidId;
-  Arena::freeBlock(Entries);
-  release();
+  dropEntries();
 }
 
 void ReadMap::setEpoch(Epoch NewEpoch, SiteId Site) {
   assert(!NewEpoch.isNone() && "setting a null epoch; use clear()");
   E = NewEpoch;
   ESite = Site;
-  Arena::freeBlock(Entries);
-  release();
+  dropEntries();
 }
 
 void ReadMap::growEntries() {
   const uint32_t NewCap = Cap ? Cap * 2 : 2;
-  auto *NewEntries =
-      static_cast<ReadEntry *>(Arena::allocBlock(NewCap * sizeof(ReadEntry)));
+  std::unique_ptr<ReadEntry[]> NewEntries(new ReadEntry[NewCap]);
   if (Num)
-    std::memcpy(NewEntries, Entries, Num * sizeof(ReadEntry));
-  Arena::freeBlock(Entries);
-  Entries = NewEntries;
+    std::memcpy(NewEntries.get(), Entries.get(), Num * sizeof(ReadEntry));
+  Entries = std::move(NewEntries);
   Cap = NewCap;
 }
 

@@ -20,12 +20,8 @@
 /// Each entry carries the site of the recorded access so race reports can
 /// name the first access (Section 4, "Reporting Races").
 ///
-/// Map-state entry arrays are raw blocks from the current thread's bound
-/// Arena (the owning detector's metadata arena on the access hot path),
-/// so inflating, growing, and discarding read maps never touches the
-/// general-purpose heap during replay. ReadMap is move-only; the block
-/// header routes the eventual free back to the allocating arena no
-/// matter where the map moves.
+/// Map-state entry arrays come from the standard allocator and double on
+/// growth. ReadMap is move-only.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,9 +31,9 @@
 #include "core/Epoch.h"
 #include "core/Ids.h"
 #include "core/VectorClock.h"
-#include "support/Arena.h"
 
 #include <cstdint>
+#include <memory>
 
 namespace pacer {
 
@@ -56,25 +52,23 @@ public:
 
   ReadMap() = default;
   ReadMap(ReadMap &&Other) noexcept
-      : E(Other.E), ESite(Other.ESite), Entries(Other.Entries),
+      : E(Other.E), ESite(Other.ESite), Entries(std::move(Other.Entries)),
         Num(Other.Num), Cap(Other.Cap) {
-    Other.release();
+    Other.dropEntries();
   }
   ReadMap &operator=(ReadMap &&Other) noexcept {
     if (this != &Other) {
-      Arena::freeBlock(Entries);
       E = Other.E;
       ESite = Other.ESite;
-      Entries = Other.Entries;
+      Entries = std::move(Other.Entries);
       Num = Other.Num;
       Cap = Other.Cap;
-      Other.release();
+      Other.dropEntries();
     }
     return *this;
   }
   ReadMap(const ReadMap &) = delete;
   ReadMap &operator=(const ReadMap &) = delete;
-  ~ReadMap() { Arena::freeBlock(Entries); }
 
   Kind kind() const {
     if (Entries)
@@ -162,19 +156,19 @@ public:
 private:
   ReadEntry *findEntry(ThreadId Tid);
 
-  /// Doubles the entry array's capacity (arena block swap).
+  /// Doubles the entry array's capacity.
   void growEntries();
 
-  /// Forgets the entry storage without freeing it (move support).
-  void release() {
-    Entries = nullptr;
+  /// Frees the entry storage, leaving the epoch fields as they are.
+  void dropEntries() {
+    Entries.reset();
     Num = 0;
     Cap = 0;
   }
 
   Epoch E;                  // Valid iff Entries is null and E is not none.
   SiteId ESite = InvalidId;
-  ReadEntry *Entries = nullptr; // Arena block; Map state iff non-null.
+  std::unique_ptr<ReadEntry[]> Entries; // Map state iff non-null.
   uint32_t Num = 0;
   uint32_t Cap = 0;
 };

@@ -19,8 +19,8 @@
 ///
 /// Deep copies and clones go element-by-element through
 /// VectorClock::copyFrom, i.e. through the word-parallel kernels in
-/// core/ClockKernels.h; a payload's spilled clock storage comes from the
-/// thread's bound Arena like any other VectorClock.
+/// core/ClockKernels.h; a payload's spilled clock storage is a heap
+/// array like any other VectorClock's.
 ///
 //===----------------------------------------------------------------------===//
 

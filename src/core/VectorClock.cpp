@@ -11,8 +11,7 @@ using namespace pacer;
 
 void VectorClock::grow(uint32_t MinCapacity) {
   uint32_t NewCapacity = std::max(MinCapacity, Capacity * 2);
-  auto *NewData =
-      static_cast<uint32_t *>(Arena::allocBlock(NewCapacity * sizeof(uint32_t)));
+  auto *NewData = new uint32_t[NewCapacity];
   kernels::copyWords(NewData, Data, Count);
   deallocate();
   Data = NewData;
@@ -39,9 +38,7 @@ void VectorClock::moveFrom(VectorClock &Other) noexcept {
     Capacity = InlineCapacity;
     kernels::copyWords(Inline, Other.Inline, Other.Count);
   } else {
-    // Steal the heap buffer; leave Other valid and minimal. The block's
-    // header keeps its owning arena, so the eventual free dispatches
-    // correctly no matter where the clock object moves.
+    // Steal the heap buffer; leave Other valid and minimal.
     Data = Other.Data;
     Capacity = Other.Capacity;
     Other.Data = Other.Inline;
@@ -101,7 +98,7 @@ void VectorClock::compactSlots(const uint32_t *NewToOld, uint32_t NewCount) {
   // total threads started instead of staying O(live).
   if (!isInline() && Count <= InlineCapacity) {
     kernels::copyWords(Inline, Data, Count);
-    Arena::freeBlock(Data);
+    delete[] Data;
     Data = Inline;
     Capacity = InlineCapacity;
   }

@@ -16,9 +16,8 @@
 /// The evaluation workloads keep most clocks at or below 8 live threads
 /// (eclipse 8, xalan 9, pseudojbb 9 max live), so the common case of a
 /// join, copy, or comparison never touches the allocator and stays within
-/// one cache line. Wider clocks (hsqldb's 403 threads) spill to a block
-/// from the current thread's bound Arena (the owning detector's metadata
-/// arena on the access hot path; the global heap otherwise).
+/// one cache line. Wider clocks (hsqldb's 403 threads) spill to a heap
+/// array from the standard allocator.
 ///
 /// All component loops -- join, leq, copy -- route through the
 /// word-parallel kernels in core/ClockKernels.h, which pick a SIMD width
@@ -30,7 +29,6 @@
 #define PACER_CORE_VECTORCLOCK_H
 
 #include "core/Ids.h"
-#include "support/Arena.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -129,7 +127,7 @@ private:
   void moveFrom(VectorClock &Other) noexcept;
   void deallocate() {
     if (!isInline())
-      Arena::freeBlock(Data);
+      delete[] Data;
   }
 
   uint32_t *Data = Inline;

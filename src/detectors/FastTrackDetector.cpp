@@ -19,7 +19,6 @@ void FastTrackDetector::reportWriteRace(const VarState &State, VarId Var,
 }
 
 void FastTrackDetector::read(ThreadId Tid, VarId Var, SiteId Site) {
-  Arena::Scope MetadataScope(&Metadata);
   Tid = Sync.slotOf(Tid);
   const VectorClock &Clock = Sync.ensureThread(Tid);
   readWith(Clock, Epoch::make(Clock.get(Tid), Tid), Tid, Var, Site);
@@ -54,7 +53,6 @@ void FastTrackDetector::readWith(const VectorClock &Clock, Epoch Current,
 }
 
 void FastTrackDetector::write(ThreadId Tid, VarId Var, SiteId Site) {
-  Arena::Scope MetadataScope(&Metadata);
   Tid = Sync.slotOf(Tid);
   const VectorClock &Clock = Sync.ensureThread(Tid);
   writeWith(Clock, Epoch::make(Clock.get(Tid), Tid), Tid, Var, Site);
@@ -97,7 +95,6 @@ void FastTrackDetector::writeWith(const VectorClock &Clock, Epoch Current,
 
 void FastTrackDetector::accessBatch(std::span<const Action> Batch,
                                     const AccessShard &Shard) {
-  Arena::Scope MetadataScope(&Metadata);
   // Accesses never mutate thread clocks, so the clock reference and epoch
   // computed at a thread switch stay valid for the thread's whole run.
   // Re-fetch on every switch: ensureThread may resize the thread table.
@@ -124,7 +121,6 @@ void FastTrackDetector::accessBatch(std::span<const Action> Batch,
 size_t FastTrackDetector::recycleDeadSlots() {
   if (!Config.UseAccordionClocks)
     return 0;
-  Arena::Scope MetadataScope(&Metadata);
   return Sync.recycleDeadSlots(
       [this](ThreadId Slot) {
         // The reclaimed thread's accesses are dominated by every live

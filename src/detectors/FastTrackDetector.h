@@ -26,7 +26,6 @@
 #include "core/ReadMap.h"
 #include "detectors/Detector.h"
 #include "detectors/SyncState.h"
-#include "support/Arena.h"
 
 #include <vector>
 
@@ -60,31 +59,24 @@ public:
   const char *name() const override { return "fasttrack"; }
 
   void fork(ThreadId Parent, ThreadId Child) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.fork(Parent, Child, Stats);
   }
   void join(ThreadId Parent, ThreadId Child) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.join(Parent, Child, Stats);
   }
   void acquire(ThreadId Tid, LockId Lock) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.acquire(Tid, Lock, Stats);
   }
   void release(ThreadId Tid, LockId Lock) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.release(Tid, Lock, Stats);
   }
   void syncBatch(ThreadId Tid, LockId Lock, uint64_t Pairs) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.acquireReleasePairs(Tid, Lock, Pairs, Stats);
   }
   void volatileRead(ThreadId Tid, VolatileId Vol) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.volatileRead(Tid, Vol, Stats);
   }
   void volatileWrite(ThreadId Tid, VolatileId Vol) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.volatileWrite(Tid, Vol, Stats);
   }
 
@@ -100,12 +92,10 @@ public:
                    const AccessShard &Shard) override;
 
   void threadBegin(ThreadId Tid) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.ensureThread(Sync.slotOf(Tid));
   }
 
   void threadExit(ThreadId Tid) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.threadExit(Tid);
   }
 
@@ -148,14 +138,9 @@ private:
   void writeWith(const VectorClock &Clock, Epoch Current, ThreadId Tid,
                  VarId Var, SiteId Site);
 
-  /// Backs the per-variable table and its read-map/clock blocks. MUST
-  /// stay the first data member: the later members free their blocks back
-  /// into this arena while being destroyed.
-  Arena Metadata;
-
   FastTrackConfig Config;
   SyncState Sync;
-  std::vector<VarState, ArenaAllocator<VarState>> Vars;
+  std::vector<VarState> Vars;
 };
 
 } // namespace pacer

@@ -57,24 +57,21 @@ void GenericDetector::writeWith(ThreadId Tid, const VectorClock &Clock,
 }
 
 void GenericDetector::read(ThreadId Tid, VarId Var, SiteId Site) {
-  Arena::Scope MetadataScope(&Metadata);
   Tid = Sync.slotOf(Tid);
   readWith(Tid, Sync.ensureThread(Tid), Var, Site);
 }
 
 void GenericDetector::write(ThreadId Tid, VarId Var, SiteId Site) {
-  Arena::Scope MetadataScope(&Metadata);
   Tid = Sync.slotOf(Tid);
   writeWith(Tid, Sync.ensureThread(Tid), Var, Site);
 }
 
 void GenericDetector::accessBatch(std::span<const Action> Batch,
                                   const AccessShard &Shard) {
-  // One arena scope for the whole epoch, and the slot/clock resolution
-  // hoisted to thread switches. No synchronization action or first sight
-  // occurs inside a batch, so the thread vector never reallocates and the
-  // hoisted clock reference stays valid across the run.
-  Arena::Scope MetadataScope(&Metadata);
+  // The slot/clock resolution is hoisted to thread switches. No
+  // synchronization action or first sight occurs inside a batch, so the
+  // thread vector never reallocates and the hoisted clock reference stays
+  // valid across the run.
   ThreadId CurTid = InvalidId;
   ThreadId Slot = 0;
   const VectorClock *Clock = nullptr;
@@ -96,7 +93,6 @@ void GenericDetector::accessBatch(std::span<const Action> Batch,
 size_t GenericDetector::recycleDeadSlots() {
   if (!Config.UseAccordionClocks)
     return 0;
-  Arena::Scope MetadataScope(&Metadata);
   return Sync.recycleDeadSlots(
       [this](ThreadId Slot) {
         // Zero the reclaimed slot in every access vector: its components

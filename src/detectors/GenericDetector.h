@@ -26,7 +26,6 @@
 #include "core/VectorClock.h"
 #include "detectors/Detector.h"
 #include "detectors/SyncState.h"
-#include "support/Arena.h"
 
 #include <vector>
 
@@ -51,39 +50,32 @@ public:
   const char *name() const override { return "generic"; }
 
   void fork(ThreadId Parent, ThreadId Child) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.fork(Parent, Child, Stats);
   }
   void join(ThreadId Parent, ThreadId Child) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.join(Parent, Child, Stats);
   }
   void acquire(ThreadId Tid, LockId Lock) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.acquire(Tid, Lock, Stats);
   }
   void release(ThreadId Tid, LockId Lock) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.release(Tid, Lock, Stats);
   }
   void syncBatch(ThreadId Tid, LockId Lock, uint64_t Pairs) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.acquireReleasePairs(Tid, Lock, Pairs, Stats);
   }
   void volatileRead(ThreadId Tid, VolatileId Vol) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.volatileRead(Tid, Vol, Stats);
   }
   void volatileWrite(ThreadId Tid, VolatileId Vol) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.volatileWrite(Tid, Vol, Stats);
   }
 
   void read(ThreadId Tid, VarId Var, SiteId Site) override;
   void write(ThreadId Tid, VarId Var, SiteId Site) override;
 
-  /// Batched epoch dispatch: one arena scope per epoch, and the slot and
-  /// clock resolution hoisted to thread switches.
+  /// Batched epoch dispatch: the slot and clock resolution hoisted to
+  /// thread switches.
   using Detector::accessBatch;
   void accessBatch(std::span<const Action> Batch,
                    const AccessShard &Shard) override;
@@ -94,12 +86,10 @@ public:
   static constexpr size_t MinScreenWidth = 16;
 
   void threadBegin(ThreadId Tid) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.ensureThread(Sync.slotOf(Tid));
   }
 
   void threadExit(ThreadId Tid) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.threadExit(Tid);
   }
 
@@ -122,9 +112,8 @@ public:
   }
 
 private:
-  /// Recorded-access sites, stored in the detector's arena like every
-  /// other per-variable block.
-  using SiteVector = std::vector<SiteId, ArenaAllocator<SiteId>>;
+  /// Recorded-access sites, indexed by thread slot.
+  using SiteVector = std::vector<SiteId>;
 
   /// Per-variable access history: last-read and last-write clock values and
   /// the program site of each recorded access, all indexed by thread slot.
@@ -139,9 +128,9 @@ private:
   /// invalidated by the next ensureVar.
   VarState &ensureVar(VarId Var) { return Vars.getOrInsert(Var); }
 
-  /// Algorithm bodies with the arena scope open and \p Tid already
-  /// resolved to a slot with its clock -- the batch loop hoists that
-  /// resolution out of per-access work.
+  /// Algorithm bodies with \p Tid already resolved to a slot with its
+  /// clock -- the batch loop hoists that resolution out of per-access
+  /// work.
   void readWith(ThreadId Tid, const VectorClock &Clock, VarId Var,
                 SiteId Site);
   void writeWith(ThreadId Tid, const VectorClock &Clock, VarId Var,
@@ -156,11 +145,6 @@ private:
                          AccessKind PriorKind, const VectorClock &Current,
                          VarId Var, ThreadId Tid, AccessKind Kind,
                          SiteId Site);
-
-  /// Backs the per-variable table, its site vectors, and spilled clocks.
-  /// MUST stay the first data member: the later members free their blocks
-  /// back into this arena while being destroyed.
-  Arena Metadata;
 
   GenericConfig Config;
   SyncState Sync;

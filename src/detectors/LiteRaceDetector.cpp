@@ -76,7 +76,6 @@ LiteRaceDetector::computeSamplerPlan(TraceSpan T,
 
 void LiteRaceDetector::read(ThreadId Tid, VarId Var, SiteId Site) {
   assert(!Plan && "planned replay must go through accessBatch");
-  Arena::Scope MetadataScope(&Metadata);
   if (!shouldSample(Tid, Site)) {
     ++Stats.ReadFastNonSampling;
     return;
@@ -87,7 +86,6 @@ void LiteRaceDetector::read(ThreadId Tid, VarId Var, SiteId Site) {
 
 void LiteRaceDetector::write(ThreadId Tid, VarId Var, SiteId Site) {
   assert(!Plan && "planned replay must go through accessBatch");
-  Arena::Scope MetadataScope(&Metadata);
   if (!shouldSample(Tid, Site)) {
     ++Stats.WriteFastNonSampling;
     return;
@@ -173,7 +171,6 @@ void LiteRaceDetector::analyzeWrite(ThreadId Tid, VarId Var, SiteId Site) {
 
 void LiteRaceDetector::accessBatch(std::span<const Action> Batch,
                                    const AccessShard &Shard) {
-  Arena::Scope MetadataScope(&Metadata);
   for (const Action &A : Batch) {
     // The live sampler must advance on every access, owned or not, so
     // replicas stay identical (see the header comment).
@@ -203,7 +200,6 @@ void LiteRaceDetector::accessBatch(std::span<const Action> Batch,
 size_t LiteRaceDetector::recycleDeadSlots() {
   if (!Config.UseAccordionClocks)
     return 0;
-  Arena::Scope MetadataScope(&Metadata);
   return Sync.recycleDeadSlots(
       [this](ThreadId Slot) {
         for (VarState &State : Vars) {

@@ -45,7 +45,6 @@
 #include "core/ReadMap.h"
 #include "detectors/Detector.h"
 #include "detectors/SyncState.h"
-#include "support/Arena.h"
 #include "support/Rng.h"
 
 #include <vector>
@@ -109,31 +108,24 @@ public:
   const char *name() const override { return "literace"; }
 
   void fork(ThreadId Parent, ThreadId Child) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.fork(Parent, Child, Stats);
   }
   void join(ThreadId Parent, ThreadId Child) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.join(Parent, Child, Stats);
   }
   void acquire(ThreadId Tid, LockId Lock) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.acquire(Tid, Lock, Stats);
   }
   void release(ThreadId Tid, LockId Lock) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.release(Tid, Lock, Stats);
   }
   void syncBatch(ThreadId Tid, LockId Lock, uint64_t Pairs) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.acquireReleasePairs(Tid, Lock, Pairs, Stats);
   }
   void volatileRead(ThreadId Tid, VolatileId Vol) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.volatileRead(Tid, Vol, Stats);
   }
   void volatileWrite(ThreadId Tid, VolatileId Vol) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.volatileWrite(Tid, Vol, Stats);
   }
 
@@ -168,12 +160,10 @@ public:
                      uint64_t Seed, LiteRaceConfig Config = {});
 
   void threadBegin(ThreadId Tid) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.ensureThread(Sync.slotOf(Tid));
   }
 
   void threadExit(ThreadId Tid) override {
-    Arena::Scope MetadataScope(&Metadata);
     Sync.threadExit(Tid);
   }
 
@@ -243,18 +233,13 @@ private:
   void analyzeRead(ThreadId Tid, VarId Var, SiteId Site);
   void analyzeWrite(ThreadId Tid, VarId Var, SiteId Site);
 
-  /// Backs the per-variable table, the sampler table, and their blocks.
-  /// MUST stay the first data member: the later members free their blocks
-  /// back into this arena while being destroyed.
-  Arena Metadata;
-
   LiteRaceConfig Config;
   std::vector<MethodId> SiteToMethod;
   Rng Random;
   SyncState Sync;
-  std::vector<VarState, ArenaAllocator<VarState>> Vars;
+  std::vector<VarState> Vars;
   /// (method << 32 | thread) -> sampler, in the flat open-addressing
-  /// table (one probe on the per-access hot path, arena-backed growth).
+  /// table (one probe on the per-access hot path).
   FlatVarTable<Sampler, uint64_t> Samplers;
   const LiteRaceSamplerPlan *Plan = nullptr;
 };

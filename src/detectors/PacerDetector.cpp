@@ -77,7 +77,6 @@ ThreadId PacerDetector::slotOf(ThreadId External) {
 size_t PacerDetector::recycleDeadSlots() {
   if (!Config.UseAccordionClocks)
     return 0;
-  Arena::Scope MetadataScope(&Metadata);
   // Sound to recycle once every live thread dominates the retired clock:
   // all of the dead thread's accesses happen before anything any live
   // thread will do, so none can be the first access of a future race.
@@ -298,7 +297,6 @@ void PacerDetector::joinIntoVolatile(SyncObjState &Vol, ThreadId Tid) {
 }
 
 void PacerDetector::fork(ThreadId Parent, ThreadId Child) {
-  Arena::Scope MetadataScope(&Metadata);
   ++Stats.SyncOps;
   Parent = slotOf(Parent);
   Child = slotOf(Child);
@@ -314,7 +312,6 @@ void PacerDetector::fork(ThreadId Parent, ThreadId Child) {
 }
 
 void PacerDetector::join(ThreadId Parent, ThreadId Child) {
-  Arena::Scope MetadataScope(&Metadata);
   ++Stats.SyncOps;
   if (Config.UseAccordionClocks && Recycler.lookup(Child) == InvalidId) {
     // The child's slot was already recycled (it exited, and every live
@@ -346,7 +343,6 @@ void PacerDetector::join(ThreadId Parent, ThreadId Child) {
 void PacerDetector::threadExit(ThreadId Tid) {
   if (!Config.UseAccordionClocks)
     return;
-  Arena::Scope MetadataScope(&Metadata);
   ThreadId Slot = slotOf(Tid);
   ensureThread(Slot);
   // The thread acts no more: its clock now equals the snapshot a later
@@ -356,7 +352,6 @@ void PacerDetector::threadExit(ThreadId Tid) {
 }
 
 void PacerDetector::acquire(ThreadId Tid, LockId Lock) {
-  Arena::Scope MetadataScope(&Metadata);
   ++Stats.SyncOps;
   Tid = slotOf(Tid);
   SyncObjState &LockState = ensureLock(Lock);
@@ -365,7 +360,6 @@ void PacerDetector::acquire(ThreadId Tid, LockId Lock) {
 }
 
 void PacerDetector::release(ThreadId Tid, LockId Lock) {
-  Arena::Scope MetadataScope(&Metadata);
   ++Stats.SyncOps;
   Tid = slotOf(Tid);
   // Table 6 Rule 2: L_m <- copy(C_t); C_t <- inc_t(C_t, s).
@@ -386,7 +380,6 @@ void PacerDetector::syncBatch(ThreadId Tid, LockId Lock, uint64_t Pairs) {
   const uint64_t Rest = Pairs - 1;
   if (Rest == 0)
     return;
-  Arena::Scope MetadataScope(&Metadata);
   Stats.SyncOps += 2 * Rest;
   if (!Sampling) {
     // Timeless phase: clocks do not move, so every middle acquire is a
@@ -434,7 +427,6 @@ void PacerDetector::syncBatch(ThreadId Tid, LockId Lock, uint64_t Pairs) {
 }
 
 void PacerDetector::volatileRead(ThreadId Tid, VolatileId Vol) {
-  Arena::Scope MetadataScope(&Metadata);
   ++Stats.SyncOps;
   Tid = slotOf(Tid);
   SyncObjState &VolState = ensureVolatile(Vol);
@@ -443,7 +435,6 @@ void PacerDetector::volatileRead(ThreadId Tid, VolatileId Vol) {
 }
 
 void PacerDetector::volatileWrite(ThreadId Tid, VolatileId Vol) {
-  Arena::Scope MetadataScope(&Metadata);
   ++Stats.SyncOps;
   Tid = slotOf(Tid);
   // Table 6 Rule 6: V_vx <- V_vx join C_t; C_t <- inc_t(C_t, s).
@@ -452,7 +443,6 @@ void PacerDetector::volatileWrite(ThreadId Tid, VolatileId Vol) {
 }
 
 void PacerDetector::beginSamplingPeriod() {
-  Arena::Scope MetadataScope(&Metadata);
   assert(!Sampling && "nested sampling period");
   // Period boundaries are the paper's GC moments: the natural point to
   // recycle retired thread slots.
@@ -504,7 +494,6 @@ void PacerDetector::reportPriorReadRaces(const VarState &State,
 }
 
 void PacerDetector::read(ThreadId Tid, VarId Var, SiteId Site) {
-  Arena::Scope MetadataScope(&Metadata);
   if (!Config.InstrumentReadsWrites)
     return;
   Tid = slotOf(Tid);
@@ -587,7 +576,6 @@ void PacerDetector::read(ThreadId Tid, VarId Var, SiteId Site) {
 }
 
 void PacerDetector::write(ThreadId Tid, VarId Var, SiteId Site) {
-  Arena::Scope MetadataScope(&Metadata);
   if (!Config.InstrumentReadsWrites)
     return;
   Tid = slotOf(Tid);
@@ -643,20 +631,17 @@ PacerDetector::VarState &PacerDetector::track(VarId Var) {
 }
 
 void PacerDetector::threadBegin(ThreadId Tid) {
-  Arena::Scope MetadataScope(&Metadata);
   ensureThread(slotOf(Tid));
 }
 
 void PacerDetector::accessBatch(std::span<const Action> Batch,
                                 const AccessShard &Shard) {
-  Arena::Scope MetadataScope(&Metadata);
   if (!Config.InstrumentReadsWrites)
     return;
   // Phase routing: the replay layer never lets a period boundary fall
   // inside a batch, so the sampling flag is epoch-invariant and one test
-  // here selects the path for the whole run. (Accordion clocks need the
-  // per-access path for slot bookkeeping.)
-  if (!Sampling && !Config.UseAccordionClocks)
+  // here selects the path for the whole run.
+  if (!Sampling)
     coldAccessBatch(Batch, Shard);
   else
     Detector::accessBatch(Batch, Shard);

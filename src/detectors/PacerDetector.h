@@ -43,7 +43,6 @@
 #include "core/SyncClock.h"
 #include "core/VersionEpoch.h"
 #include "detectors/Detector.h"
-#include "support/Arena.h"
 
 #include <vector>
 
@@ -121,8 +120,9 @@ public:
   /// is loop-invariant and one test picks the whole epoch's path --
   /// coldAccessBatch() outside sampling periods, the per-access
   /// read()/write() loop inside them (sampling accesses mutate metadata
-  /// on every access, so there is nothing to batch away). Accordion
-  /// clocks always take the per-access loop for slot bookkeeping.
+  /// on every access, so there is nothing to batch away). The cold path
+  /// serves accordion runs too: a clear-bit access needs no slot, and
+  /// read()/write() map the slot of every tracked one.
   using Detector::accessBatch;
   void accessBatch(std::span<const Action> Batch,
                    const AccessShard &Shard) override;
@@ -306,12 +306,6 @@ private:
                             AccessKind Kind, SiteId Site);
   void reportPriorReadRaces(const VarState &State, const VectorClock &Clock,
                             VarId Var, ThreadId Tid, SiteId Site);
-
-  /// Backs every access-path block this detector owns (spilled clocks,
-  /// read-map entries, flat-table slots). MUST stay the first data member:
-  /// members are destroyed in reverse declaration order, and the others
-  /// free their blocks back into this arena while being destroyed.
-  Arena Metadata;
 
   PacerConfig Config;
   bool Sampling = false;

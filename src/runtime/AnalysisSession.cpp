@@ -127,9 +127,57 @@ double secondsSince(Clock::time_point Start) {
   return std::chrono::duration<double>(Clock::now() - Start).count();
 }
 
-/// The one replay core every entry point funnels into: \p Replay is the
-/// (already elide-filtered) action stream, \p Shards the resolved count.
-/// Fills the detection and timing fields of \p Out.
+/// The sequential replay core: builds the detector, PACER's sampling
+/// controller and the Runtime, lets \p Drive feed the Runtime, and fills
+/// the detection fields of \p Out from the log, the detector and the
+/// controller. \p Drive returns false when the replay failed in a way
+/// that leaves nothing to report; the detection fields then stay unset.
+template <typename DriveT>
+void replaySequential(const CompiledWorkload &Workload,
+                      const AnalysisRequest &Request, AnalysisResult &Out,
+                      DriveT Drive) {
+  const DetectorSetup &Setup = Request.Setup;
+  RaceLog Log;
+  std::unique_ptr<Detector> D =
+      makeDetector(Setup, Log, Workload, Request.Seed);
+
+  std::unique_ptr<SamplingController> Controller;
+  if (Setup.Kind == DetectorKind::Pacer) {
+    SamplingConfig Sampling = Setup.Sampling;
+    Sampling.TargetRate = Setup.SamplingRate;
+    Controller = std::make_unique<SamplingController>(
+        Sampling, Request.Seed ^ 0x47432121u /*"GC!!"*/);
+  }
+
+  Runtime RT(*D, Controller.get(), Setup.SyncBatching);
+  auto Start = Clock::now();
+  const bool Complete = Drive(RT);
+  Out.ReplaySeconds = secondsSince(Start);
+  if (!Complete)
+    return;
+
+  Out.Races = Log.counts();
+  Out.DynamicRaces = Log.dynamicCount();
+  Out.Stats = D->stats();
+  Out.HotAccesses = Out.Stats.hotAccesses();
+  Out.ColdAccesses = Out.Stats.coldAccesses();
+  if (Controller) {
+    Out.EffectiveAccessRate = Controller->effectiveAccessRate();
+    Out.EffectiveSyncRate = Controller->effectiveSyncRate();
+    Out.Boundaries = Controller->boundaryCount();
+  }
+  if (Setup.Kind == DetectorKind::LiteRace)
+    Out.LiteRaceEffectiveRate =
+        static_cast<LiteRaceDetector *>(D.get())->effectiveRate();
+  Out.FinalMetadataBytes = D->liveMetadataBytes();
+  Out.PeakSlotCount = D->peakSlotCount();
+  if (Request.CollectReports)
+    Out.SampleReports = Log.sampleReports();
+}
+
+/// Replays a whole in-memory span, sharded or sequentially: \p Replay is
+/// the (already elide-filtered) action stream, \p Shards the resolved
+/// count. Fills the detection and timing fields of \p Out.
 void replaySpan(const CompiledWorkload &Workload,
                 const AnalysisRequest &Request, TraceSpan Replay,
                 unsigned Shards, const TraceIndex *Index,
@@ -190,45 +238,14 @@ void replaySpan(const CompiledWorkload &Workload,
     return;
   }
 
-  RaceLog Log;
-  std::unique_ptr<Detector> D =
-      makeDetector(Setup, Log, Workload, Request.Seed);
-
-  std::unique_ptr<SamplingController> Controller;
-  if (Setup.Kind == DetectorKind::Pacer) {
-    SamplingConfig Sampling = Setup.Sampling;
-    Sampling.TargetRate = Setup.SamplingRate;
-    Controller = std::make_unique<SamplingController>(
-        Sampling, Request.Seed ^ 0x47432121u /*"GC!!"*/);
-  }
-
-  Runtime RT(*D, Controller.get(), Setup.SyncBatching);
-  auto Start = Clock::now();
-  const BadRecord Bad = RT.replay(Replay);
-  Out.ReplaySeconds = secondsSince(Start);
-  if (Bad) {
-    Out.Ok = false;
-    Out.Error =
-        std::string(Bad.Why) + " in record " + std::to_string(Bad.Index);
-  }
-
-  Out.Races = Log.counts();
-  Out.DynamicRaces = Log.dynamicCount();
-  Out.Stats = D->stats();
-  Out.HotAccesses = Out.Stats.hotAccesses();
-  Out.ColdAccesses = Out.Stats.coldAccesses();
-  if (Controller) {
-    Out.EffectiveAccessRate = Controller->effectiveAccessRate();
-    Out.EffectiveSyncRate = Controller->effectiveSyncRate();
-    Out.Boundaries = Controller->boundaryCount();
-  }
-  if (Setup.Kind == DetectorKind::LiteRace)
-    Out.LiteRaceEffectiveRate =
-        static_cast<LiteRaceDetector *>(D.get())->effectiveRate();
-  Out.FinalMetadataBytes = D->liveMetadataBytes();
-  Out.PeakSlotCount = D->peakSlotCount();
-  if (Request.CollectReports)
-    Out.SampleReports = Log.sampleReports();
+  replaySequential(Workload, Request, Out, [&](Runtime &RT) {
+    if (const BadRecord Bad = RT.replay(Replay)) {
+      Out.Ok = false;
+      Out.Error =
+          std::string(Bad.Why) + " in record " + std::to_string(Bad.Index);
+    }
+    return true; // A stopped replay still reports what it analysed.
+  });
 }
 
 } // namespace
@@ -273,60 +290,28 @@ AnalysisSession::analyzeStream(StreamingTraceReader &Reader) const {
   Result.ResolvedShards = 1;
   Result.Isa = kernels::activeIsa();
 
-  RaceLog Log;
-  std::unique_ptr<Detector> D =
-      makeDetector(Setup, Log, Workload, Request.Seed);
-
-  std::unique_ptr<SamplingController> Controller;
-  if (Setup.Kind == DetectorKind::Pacer) {
-    SamplingConfig Sampling = Setup.Sampling;
-    Sampling.TargetRate = Setup.SamplingRate;
-    Controller = std::make_unique<SamplingController>(
-        Sampling, Request.Seed ^ 0x47432121u /*"GC!!"*/);
-  }
-
-  Runtime RT(*D, Controller.get(), Setup.SyncBatching);
   Trace Filtered; // Reused per-chunk scratch under ElideLocalAccesses.
-  auto Start = Clock::now();
-  RT.start();
-  for (TraceSpan Chunk = Reader.next(); !Chunk.empty();
-       Chunk = Reader.next()) {
-    Result.TraceEvents += Chunk.size();
-    TraceSpan Replay = Chunk;
-    if (Setup.ElideLocalAccesses) {
-      Filtered.clear();
-      for (const Action &A : Chunk)
-        if (!(isAccessAction(A.Kind) && Workload.isLocalVar(A.Target)))
-          Filtered.push_back(A);
-      Replay = Filtered;
+  replaySequential(Workload, Request, Result, [&](Runtime &RT) {
+    RT.start();
+    for (TraceSpan Chunk = Reader.next(); !Chunk.empty();
+         Chunk = Reader.next()) {
+      Result.TraceEvents += Chunk.size();
+      TraceSpan Replay = Chunk;
+      if (Setup.ElideLocalAccesses) {
+        Filtered.clear();
+        for (const Action &A : Chunk)
+          if (!(isAccessAction(A.Kind) && Workload.isLocalVar(A.Target)))
+            Filtered.push_back(A);
+        Replay = Filtered;
+      }
+      RT.replayChunk(Replay, AccessShard::all());
     }
-    RT.replayChunk(Replay, AccessShard::all());
-  }
-  Result.ReplaySeconds = secondsSince(Start);
-
-  if (!Reader.ok()) {
+    if (Reader.ok())
+      return true;
     Result.Ok = false;
     Result.Error = Reader.error();
-    return Result;
-  }
-
-  Result.Races = Log.counts();
-  Result.DynamicRaces = Log.dynamicCount();
-  Result.Stats = D->stats();
-  Result.HotAccesses = Result.Stats.hotAccesses();
-  Result.ColdAccesses = Result.Stats.coldAccesses();
-  if (Controller) {
-    Result.EffectiveAccessRate = Controller->effectiveAccessRate();
-    Result.EffectiveSyncRate = Controller->effectiveSyncRate();
-    Result.Boundaries = Controller->boundaryCount();
-  }
-  if (Setup.Kind == DetectorKind::LiteRace)
-    Result.LiteRaceEffectiveRate =
-        static_cast<LiteRaceDetector *>(D.get())->effectiveRate();
-  Result.FinalMetadataBytes = D->liveMetadataBytes();
-  Result.PeakSlotCount = D->peakSlotCount();
-  if (Request.CollectReports)
-    Result.SampleReports = Log.sampleReports();
+    return false;
+  });
   return Result;
 }
 

@@ -66,7 +66,7 @@ ShardedReplayResult pacer::shardedReplay(TraceSpan T,
   }
 
   // Each replica is constructed inside its worker task, so one thread
-  // creates, replays and destroys each detector and its Arena.
+  // creates, replays and destroys each detector.
   std::vector<std::unique_ptr<ReplicaOutcome>> Replicas =
       parallelMap(Jobs, Shards, [&](size_t Shard) {
         auto Out = std::make_unique<ReplicaOutcome>();

@@ -1,9 +1,9 @@
 //===- tests/detectors/AllocationGuardTest.cpp ----------------------------==//
 //
-// Verifies the arena claim directly: once a detector's tables are warm,
-// replaying an access batch performs ZERO general-purpose heap
-// allocations -- spilled clocks, read-map entries, and table growth all
-// recycle through the detector's Arena. The guard is a global
+// Verifies that a warm access batch allocates nothing: once a detector's
+// tables are sized -- variable tables, read-map entry arrays, spilled
+// clocks -- replaying the same accesses again reuses that storage and
+// performs ZERO general-purpose heap allocations. The guard is a global
 // operator new/delete replacement that counts every heap allocation in
 // the process; the measured window contains only accessBatch calls.
 //
